@@ -1,11 +1,10 @@
-//! Criterion benchmark for the serving layer: full learning sessions over loopback TCP,
-//! on both engines, plus the 10k-connection soak the event-driven rewrite exists for.
+//! Criterion benchmark for the serving layer: full learning sessions over loopback TCP, plus
+//! the 10k-connection soak the event-driven engine exists for.
 //!
-//! Part 1 (criterion group): one `qbe-server` instance per engine serves complete twig
-//! sessions (connect, CORPUS, START, ASK/ANSWER to convergence, QUERY, EVAL, QUIT) with 1
-//! client and with N concurrent clients. The 1-vs-N ratio shows how much of the service's
-//! capacity concurrent users actually get; the event-vs-blocking comparison shows the
-//! readiness loop costs nothing at small scale.
+//! Part 1 (criterion group): one `qbe-server` instance serves complete twig sessions
+//! (connect, CORPUS, START, ASK/ANSWER to convergence, QUERY, EVAL, QUIT) with 1 client and
+//! with N concurrent clients. The 1-vs-N ratio shows how much of the service's capacity
+//! concurrent users actually get.
 //!
 //! Part 2 (soak, printed report): the server runs as a *subprocess* (each side of the
 //! loopback then owns its half of the fds, so 10k+ concurrent connections fit inside
@@ -22,7 +21,7 @@ use std::time::{Duration, Instant};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qbe_core::workload::duration_percentile;
 use qbe_server::client::{drive_goal_session, Goal};
-use qbe_server::server::{spawn, Engine, ServerConfig};
+use qbe_server::server::{spawn, ServerConfig};
 
 fn bench_server_throughput(c: &mut Criterion) {
     // At least 2 so the concurrent arm is a real multiplexing measurement even on one core
@@ -33,51 +32,44 @@ fn bench_server_throughput(c: &mut Criterion) {
         .max(2);
     let mut group = c.benchmark_group("server/throughput");
     group.sample_size(10);
-    for engine in [Engine::Event, Engine::Blocking] {
-        let handle = spawn(ServerConfig {
-            engine,
-            ..Default::default()
-        })
-        .expect("bind 127.0.0.1:0");
-        let addr = handle.addr();
-        // Warm the corpus cache so the first measured session does not pay the build.
-        drive_goal_session(addr, "tiny", &Goal::Twig("//person/name".to_string()), &[])
-            .expect("warm-up session");
-        for clients in [1usize, parallel] {
-            group.bench_with_input(
-                BenchmarkId::from_parameter(format!("{}/clients={clients}", engine.name())),
-                &clients,
-                |b, &clients| {
-                    b.iter(|| {
-                        // Every client runs the same goal (distinct seeds/sessions), so the
-                        // 1-vs-N ratio isolates serving-layer multiplexing from per-goal
-                        // learning cost.
-                        std::thread::scope(|scope| {
-                            let handles: Vec<_> = (0..clients)
-                                .map(|ix| {
-                                    let seed = ix.to_string();
-                                    scope.spawn(move || {
-                                        drive_goal_session(
-                                            addr,
-                                            "tiny",
-                                            &Goal::Twig("//person/name".to_string()),
-                                            &[("seed", &seed)],
-                                        )
-                                        .expect("session completes")
-                                    })
+    let handle = spawn(ServerConfig::default()).expect("bind 127.0.0.1:0");
+    let addr = handle.addr();
+    // Warm the corpus cache so the first measured session does not pay the build.
+    drive_goal_session(addr, "tiny", &Goal::Twig("//person/name".to_string()), &[])
+        .expect("warm-up session");
+    for clients in [1usize, parallel] {
+        group.bench_with_input(
+            BenchmarkId::from_parameter(format!("clients={clients}")),
+            &clients,
+            |b, &clients| {
+                b.iter(|| {
+                    // Every client runs the same goal (distinct seeds/sessions), so the 1-vs-N
+                    // ratio isolates serving-layer multiplexing from per-goal learning cost.
+                    std::thread::scope(|scope| {
+                        let handles: Vec<_> = (0..clients)
+                            .map(|ix| {
+                                let seed = ix.to_string();
+                                scope.spawn(move || {
+                                    drive_goal_session(
+                                        addr,
+                                        "tiny",
+                                        &Goal::Twig("//person/name".to_string()),
+                                        &[("seed", &seed)],
+                                    )
+                                    .expect("session completes")
                                 })
-                                .collect();
-                            let outcomes: Vec<_> =
-                                handles.into_iter().map(|h| h.join().unwrap()).collect();
-                            assert!(outcomes.iter().all(|o| o.consistent));
-                            outcomes
-                        })
+                            })
+                            .collect();
+                        let outcomes: Vec<_> =
+                            handles.into_iter().map(|h| h.join().unwrap()).collect();
+                        assert!(outcomes.iter().all(|o| o.consistent));
+                        outcomes
                     })
-                },
-            );
-        }
-        handle.shutdown();
+                })
+            },
+        );
     }
+    handle.shutdown();
     group.finish();
 
     soak_10k_sessions();
@@ -91,8 +83,6 @@ fn spawn_server_subprocess(max_connections: usize) -> (std::process::Child, Sock
         .args([
             "--addr",
             "127.0.0.1:0",
-            "--engine",
-            "event",
             "--max-connections",
             &max_connections.to_string(),
         ])
@@ -104,7 +94,7 @@ fn spawn_server_subprocess(max_connections: usize) -> (std::process::Child, Sock
     BufReader::new(stdout)
         .read_line(&mut banner)
         .expect("server banner");
-    // "qbe-server listening on 127.0.0.1:PORT (engine event; …)"
+    // "qbe-server listening on 127.0.0.1:PORT (models …)"
     let addr = banner
         .split_whitespace()
         .find_map(|tok| tok.parse::<SocketAddr>().ok())

@@ -11,7 +11,6 @@ use std::process::Command;
 /// Kept in sync with the directory by `all_experiment_binaries_are_listed`
 /// below (a missing entry here is also a compile error in `env!`).
 const EXPERIMENTS: &[(&str, &str)] = &[
-    ("exp_algebra", env!("CARGO_BIN_EXE_exp_algebra")),
     ("exp_baselines", env!("CARGO_BIN_EXE_exp_baselines")),
     ("exp_crowd_cost", env!("CARGO_BIN_EXE_exp_crowd_cost")),
     ("exp_exchange", env!("CARGO_BIN_EXE_exp_exchange")),
@@ -22,7 +21,6 @@ const EXPERIMENTS: &[(&str, &str)] = &[
         "exp_overspecialisation",
         env!("CARGO_BIN_EXE_exp_overspecialisation"),
     ),
-    ("exp_perf", env!("CARGO_BIN_EXE_exp_perf")),
     (
         "exp_relational_consistency",
         env!("CARGO_BIN_EXE_exp_relational_consistency"),
@@ -36,7 +34,6 @@ const EXPERIMENTS: &[(&str, &str)] = &[
         env!("CARGO_BIN_EXE_exp_schema_learning"),
     ),
     ("exp_sparql", env!("CARGO_BIN_EXE_exp_sparql")),
-    ("exp_store", env!("CARGO_BIN_EXE_exp_store")),
     ("exp_strategies", env!("CARGO_BIN_EXE_exp_strategies")),
     (
         "exp_twig_consistency",

@@ -1,10 +1,10 @@
 //! Label-indexed adjacency for property graphs.
 //!
-//! RPQ evaluation is a BFS over the product of the graph with the query automaton; the naive
-//! loop scans every outgoing edge of a node and string-compares its label against each NFA
-//! transition. [`GraphIndex`] interns the edge labels once and lays the adjacency out as, per
-//! node, a label-id-sorted successor list — the product BFS then matches transitions by integer
-//! id and can enumerate the successors of a node under one label as a contiguous slice.
+//! The naive RPQ evaluator ([`crate::rpq::evaluate`]) scans every outgoing edge of a node and
+//! string-compares its label against each NFA transition. [`GraphIndex`] interns the edge
+//! labels once and lays the adjacency out as, per node, a label-id-sorted successor list plus
+//! one successor bitset per distinct label, so evaluation matches labels by integer id and
+//! reads the successors of a node under one label as a contiguous slice or a single set.
 //!
 //! Like `qbe_xml::NodeIndex`, the index is immutable and self-contained, so it can be built
 //! once per graph and shared (behind an `Arc`) by every concurrent learning session over that
@@ -26,8 +26,7 @@ pub struct GraphIndex {
     /// `out[node]` = `(label id, target)` pairs, sorted by label id (then target).
     out: Vec<Vec<(u32, GNodeId)>>,
     /// `out_bits[node]` = per distinct outgoing label, the *set* of successors as a dense
-    /// bitset over the node universe (sorted by label id). Parallel edges collapse to one bit,
-    /// so a product-BFS step enqueues each distinct `(label, target)` once.
+    /// bitset over the node universe (sorted by label id). Parallel edges collapse to one bit.
     ///
     /// Memory trade-off: one `n/8`-byte bitset per `(node, distinct outgoing label)` pair —
     /// negligible for the geographical graphs the paper's experiments use, O(n²/8) per label on
@@ -197,8 +196,7 @@ impl GraphIndex {
     }
 
     /// Per distinct outgoing label of `node`, the successor *set* as a dense bitset (sorted by
-    /// label id, parallel edges collapsed). The product BFS walks this instead of the raw edge
-    /// list, so it transitions once per distinct label and enqueues each target once.
+    /// label id, parallel edges collapsed).
     pub fn successor_bits(&self, node: GNodeId) -> &[(u32, DenseSet<GNodeId>)] {
         &self.out_bits[node.0 as usize]
     }

@@ -6,8 +6,8 @@
 //!   triple view;
 //! * [`rpq`] — regular path queries over edge labels, NFA-product evaluation, simple-path
 //!   enumeration;
-//! * [`index`] — label-interned adjacency ([`GraphIndex`]) backing the indexed RPQ evaluator
-//!   [`rpq::evaluate_indexed`], differentially tested against the naive product BFS;
+//! * [`index`] — label-interned adjacency ([`GraphIndex`]) that algebra-lowered queries
+//!   evaluate against (see [`lower`]);
 //! * [`learn`] — learning path queries (block regexes) from positive and negative example
 //!   paths;
 //! * [`interactive`] — the interactive path-labelling framework of the geographical use case,
@@ -61,9 +61,7 @@ pub use qsession::{
     enumerate_candidates, evaluate_candidates, CandidateQuery, CseStats, GoalPairsOracle,
     PairOracle, QueryClass, QuerySession, QuerySessionOutcome,
 };
-pub use rpq::{
-    evaluate, evaluate_from, evaluate_indexed, simple_paths, thompson_state_count, Path, PathRegex,
-};
+pub use rpq::{evaluate, evaluate_from, simple_paths, Path, PathRegex};
 
 #[cfg(test)]
 mod proptests {

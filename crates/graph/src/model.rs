@@ -14,7 +14,7 @@ use std::fmt;
 pub struct GNodeId(pub u32);
 
 /// Node ids index dense bitsets ([`qbe_bitset::DenseSet<GNodeId>`]) directly — what the
-/// path-session visited sets and the indexed RPQ evaluator's frontier structures are keyed by.
+/// path-session visited sets and the index's successor and predecessor sets are keyed by.
 impl qbe_bitset::DenseId for GNodeId {
     fn from_index(index: usize) -> GNodeId {
         GNodeId(index as u32)

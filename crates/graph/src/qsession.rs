@@ -14,8 +14,8 @@
 //! Every candidate lowers to the hash-consed IR and evaluates through **one shared
 //! [`EvalCache`]**: structurally equal subqueries across the whole pool are evaluated once
 //! (cross-candidate common-subexpression elimination). The differential suite pins the pooled
-//! answer sets against per-candidate evaluation with fresh caches, and `exp_algebra` measures
-//! the speed-up.
+//! answer sets against per-candidate evaluation with fresh caches, and the benchmark's
+//! `qbe-algebra.cache_hit_frac` reports the sharing on served sessions (`perfbench/README.md`).
 
 use crate::index::GraphIndex;
 use crate::model::{GNodeId, PropertyGraph};

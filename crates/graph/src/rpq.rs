@@ -220,100 +220,6 @@ pub fn evaluate(graph: &PropertyGraph, regex: &PathRegex) -> BTreeSet<(GNodeId, 
     out
 }
 
-/// Number of states the Thompson construction produces for a regex — reported by experiments
-/// and useful for sizing intuition (the indexed evaluator's per-mask work scales with
-/// `⌈states/64⌉` words).
-pub fn thompson_state_count(regex: &PathRegex) -> usize {
-    Nfa::compile(regex).transitions.len()
-}
-
-/// Evaluate an RPQ against a prebuilt [`GraphIndex`](crate::index::GraphIndex): same answer as
-/// [`evaluate`], computed by a product BFS over interned label ids with NFA state sets packed
-/// into multi-word [`DenseSet`](qbe_bitset::DenseSet) masks.
-///
-/// The interned adjacency turns the per-step transition work from "scan every outgoing edge and
-/// string-compare against every NFA transition" into "merge two id-sorted lists"; the dense
-/// masks make state-set closure/union a handful of word operations *regardless of state count*
-/// — the old single-`u64` representation's 64-state cliff (and its naive-evaluator fallback
-/// branch) is gone. The naive [`evaluate`] survives purely as the differential spec
-/// (`crates/graph/tests/prop_eval_indexed.rs` pins extensional equality).
-pub fn evaluate_indexed(
-    graph: &PropertyGraph,
-    index: &crate::index::GraphIndex,
-    regex: &PathRegex,
-) -> BTreeSet<(GNodeId, GNodeId)> {
-    use qbe_bitset::DenseSet;
-    let nfa = Nfa::compile(regex);
-    let n_states = nfa.transitions.len();
-    // ε-closure of each single state, as a state mask (includes the state itself).
-    let mut closure: Vec<DenseSet<usize>> = Vec::with_capacity(n_states);
-    for s in 0..n_states {
-        let mut mask: DenseSet<usize> = DenseSet::from_ids(n_states, [s]);
-        let mut stack = vec![s];
-        while let Some(cur) = stack.pop() {
-            for (label, target) in &nfa.transitions[cur] {
-                if label.is_none() && mask.insert(*target) {
-                    stack.push(*target);
-                }
-            }
-        }
-        closure.push(mask);
-    }
-    // trans[label id][state] = ε-closed mask of states reachable by consuming that label.
-    let empty_mask: DenseSet<usize> = DenseSet::new(n_states);
-    let mut trans = vec![vec![empty_mask.clone(); n_states]; index.label_count()];
-    for (s, edges) in nfa.transitions.iter().enumerate() {
-        for (label, target) in edges {
-            let Some(label) = label else { continue };
-            // NFA labels absent from the graph can never fire.
-            if let Some(lid) = index.label_id(label) {
-                trans[lid as usize][s].or_with(&closure[*target]);
-            }
-        }
-    }
-    let start_mask = closure[nfa.start].clone();
-    let mut out = BTreeSet::new();
-    // Per-node union of every NFA state-set mask already explored from the current start.
-    // Mask propagation is monotone (`next(m₁ ∪ m₂) = next(m₁) ∪ next(m₂)`, and a mask that
-    // dies stays dead), so a frontier mask covered by the union cannot reach anything its
-    // covering explorations do not — subset states are pruned without loss. This replaces the
-    // exact `(node, mask)` visited set, whose distinct-mask blowup was the BFS's worst case.
-    let mut seen: Vec<DenseSet<usize>> = vec![empty_mask.clone(); graph.node_count()];
-    let mut queue: VecDeque<(GNodeId, DenseSet<usize>)> = VecDeque::new();
-    let mut next_mask = empty_mask.clone();
-    for start in graph.node_ids() {
-        for mask in &mut seen {
-            mask.clear();
-        }
-        queue.clear();
-        queue.push_back((start, start_mask.clone()));
-        while let Some((node, mask)) = queue.pop_front() {
-            let prior = &mut seen[node.0 as usize];
-            if mask.is_subset(prior) {
-                continue; // covered by earlier explorations from this start
-            }
-            prior.or_with(&mask);
-            if mask.contains(nfa.accept) {
-                out.insert((start, node));
-            }
-            // Transition once per distinct label; the successor bitset enqueues each distinct
-            // target once (parallel edges collapsed by the index).
-            for (lid, targets) in index.successor_bits(node) {
-                next_mask.clear();
-                for s in mask.iter() {
-                    next_mask.or_with(&trans[*lid as usize][s]);
-                }
-                if !next_mask.is_empty() {
-                    for target in targets.iter() {
-                        queue.push_back((target, next_mask.clone()));
-                    }
-                }
-            }
-        }
-    }
-    out
-}
-
 /// All node pairs reachable from `source` under the RPQ.
 pub fn evaluate_from(
     graph: &PropertyGraph,
@@ -474,26 +380,6 @@ mod tests {
     }
 
     #[test]
-    fn indexed_evaluation_agrees_with_naive() {
-        let (g, _) = graph();
-        let ix = crate::index::GraphIndex::build(&g);
-        let queries = [
-            PathRegex::Plus(Box::new(PathRegex::label("road"))),
-            PathRegex::Star(Box::new(PathRegex::label("road"))),
-            PathRegex::Concat(vec![
-                PathRegex::Star(Box::new(PathRegex::label("road"))),
-                PathRegex::label("train"),
-            ]),
-            PathRegex::Alt(vec![PathRegex::label("road"), PathRegex::label("ferry")]),
-            PathRegex::Optional(Box::new(PathRegex::label("train"))),
-            PathRegex::label("ferry"), // label absent from the graph
-        ];
-        for r in queries {
-            assert_eq!(evaluate_indexed(&g, &ix, &r), evaluate(&g, &r), "{r}");
-        }
-    }
-
-    #[test]
     fn evaluation_finds_connected_pairs() {
         let (g, n) = graph();
         let road_plus = PathRegex::Plus(Box::new(PathRegex::label("road")));
@@ -562,33 +448,18 @@ mod tests {
     }
 
     #[test]
-    fn large_automata_stay_on_the_indexed_path() {
-        // The Thompson construction gives a concatenation of k labels k+1 states, so these
-        // queries straddle what used to be the single-u64 bitmask cliff at 64 states. With
-        // multi-word masks there is no cliff: the indexed evaluator handles all of them and
-        // must agree with the naive spec.
-        let at_old_limit = PathRegex::Concat(vec![PathRegex::label("road"); 63]);
-        let over_old_limit = PathRegex::Concat(vec![PathRegex::label("road"); 64]);
-        let far_over = PathRegex::Concat(vec![PathRegex::label("road"); 150]);
-        assert_eq!(thompson_state_count(&at_old_limit), 64);
-        assert_eq!(thompson_state_count(&over_old_limit), 65);
-        assert_eq!(thompson_state_count(&far_over), 151);
-
+    fn long_label_chains_answer_exact_pair_counts() {
+        // A concatenation of k labels compiles to k+1 Thompson states, so these queries
+        // straddle 64 states — where a single-word state mask would run out.
+        let chain = |k: usize| PathRegex::Concat(vec![PathRegex::label("road"); k]);
         // A chain of 160 road edges: a k-label query answers the (n_i, n_{i+k}) pairs.
         let mut g = PropertyGraph::new();
         let nodes: Vec<GNodeId> = (0..161).map(|_| g.add_node("city")).collect();
         for w in nodes.windows(2) {
             g.add_edge(w[0], w[1], "road");
         }
-        let ix = crate::index::GraphIndex::build(&g);
-        for (regex, expected_pairs) in [
-            (&at_old_limit, 161 - 63),
-            (&over_old_limit, 161 - 64),
-            (&far_over, 161 - 150),
-        ] {
-            let naive = evaluate(&g, regex);
-            assert_eq!(naive.len(), expected_pairs);
-            assert_eq!(evaluate_indexed(&g, &ix, regex), naive);
+        for k in [63, 64, 150] {
+            assert_eq!(evaluate(&g, &chain(k)).len(), 161 - k, "{k} labels");
         }
     }
 

@@ -4,11 +4,12 @@
 //!
 //! Each property samples ≥256 random cases; the generators cover every constructor of the
 //! dialect under test (labels the graphs carry and labels they never do, nesting, node tests,
-//! the lot). A final property pins the optimizer: `QueryStore::optimize` may rewrite an
-//! expression arbitrarily but never change its answer set.
+//! the lot). Two final properties pin the optimizer: `QueryStore::optimize` may rewrite an
+//! expression arbitrarily but never change its answer set, whether the expression came from a
+//! lowering or was interned raw with every redundancy left in.
 
 use proptest::prelude::*;
-use qbe_algebra::{EvalCache, QueryStore};
+use qbe_algebra::{EvalCache, Expr, ExprId, QueryStore};
 use qbe_graph::{
     eval_conj_tuples, eval_expr_pairs, eval_nre, evaluate, lower_conjunctive, lower_nre,
     lower_path_regex, ConjunctiveNre, GNodeId, GraphIndex, Nre, PathRegex, PropertyGraph,
@@ -82,6 +83,21 @@ fn random_nre(rng: &mut StdRng, depth: usize) -> Nre {
         4 => Nre::Optional(Box::new(random_nre(rng, depth - 1))),
         _ => Nre::Nest(Box::new(random_nre(rng, depth - 1))),
     }
+}
+
+/// Intern a regex node by node with [`QueryStore::intern_raw`], bypassing every smart
+/// constructor rewrite — the input shape `optimize` exists for.
+fn intern_raw(store: &mut QueryStore, regex: &PathRegex) -> ExprId {
+    let mut parts = |rs: &[PathRegex]| rs.iter().map(|r| intern_raw(store, r)).collect();
+    let expr = match regex {
+        PathRegex::Label(l) => return store.label(l),
+        PathRegex::Concat(rs) => Expr::Concat(parts(rs)),
+        PathRegex::Alt(rs) => Expr::Alt(parts(rs)),
+        PathRegex::Star(r) => Expr::Star(intern_raw(store, r)),
+        PathRegex::Plus(r) => Expr::Plus(intern_raw(store, r)),
+        PathRegex::Optional(r) => Expr::Opt(intern_raw(store, r)),
+    };
+    store.intern_raw(expr)
 }
 
 /// Random conjunction of 1–3 NRE atoms over a 3-variable pool. Every atom gets *distinct*
@@ -181,6 +197,37 @@ proptest! {
             eval_expr_pairs(&index, &store, &mut cache, optimized),
             eval_expr_pairs(&index, &store, &mut cache, lowered),
             "nre {} optimized {} vs raw {}", nre, store.render(optimized), store.render(lowered)
+        );
+    }
+
+    /// `optimize` on a raw-interned expression wrapped in the redundancy the rewrites remove —
+    /// `(r*)*`, `r|r`, `(r?)?` — shrinks it and keeps its answer set, which is the naive
+    /// evaluator's answer for the same regex.
+    #[test]
+    fn optimizer_shrinks_raw_expressions_without_changing_answers(seed in 0u64..1_000_000) {
+        let g = random_graph(seed);
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x0A1B_2C3D);
+        let r = random_regex(&mut rng, 2);
+        let regex = PathRegex::Concat(vec![
+            PathRegex::Star(Box::new(PathRegex::Star(Box::new(r.clone())))),
+            PathRegex::Alt(vec![r.clone(), r.clone()]),
+            PathRegex::Optional(Box::new(PathRegex::Optional(Box::new(r)))),
+        ]);
+        let index = GraphIndex::build(&g);
+        let mut store = QueryStore::new();
+        let raw = intern_raw(&mut store, &regex);
+        let optimized = store.optimize(raw);
+        prop_assert!(
+            store.size(optimized) < store.size(raw),
+            "{} did not shrink to {}", store.render(raw), store.render(optimized)
+        );
+        let mut cache = EvalCache::new();
+        let expected = evaluate(&g, &regex);
+        prop_assert_eq!(eval_expr_pairs(&index, &store, &mut cache, raw), expected.clone());
+        prop_assert_eq!(
+            eval_expr_pairs(&index, &store, &mut cache, optimized),
+            expected,
+            "regex {} optimized {}", regex, store.render(optimized)
         );
     }
 }

@@ -3,20 +3,30 @@
 //!
 //! Two modes:
 //!
-//! * `qbe-server [--addr HOST:PORT] [--engine event|blocking] [--workers N]
-//!   [--max-connections N] [--rate-limit BURST/PER_SEC] [--data-dir DIR] [--persist]
-//!   [--faults SPEC]` —
-//!   serve until killed (default `127.0.0.1:7878`, event engine). `--data-dir` caches corpus
+//! * `qbe-server [--addr HOST:PORT] [--workers N] [--max-connections N]
+//!   [--rate-limit BURST/PER_SEC] [--data-dir DIR] [--persist] [--faults SPEC]` —
+//!   serve until killed (default `127.0.0.1:7878`). `--data-dir` caches corpus
 //!   snapshots on disk; `--persist` additionally write-ahead-logs sessions there and recovers
 //!   them on the next boot; `--faults` attaches a deterministic fault-injection profile
-//!   (e.g. `seed=7;server.drop=0.05;wal.fsync=0.1:max=2` — see `qbe_core::faults`);
+//!   (e.g. `seed=7;server.drop=0.05;wal.fsync=0.1:max=2` — see `qbe_core::faults`). Any other
+//!   argument is an error, so a misspelt flag cannot silently fall back to a default;
 //! * `qbe-server --smoke` — self-check: bind an ephemeral port, run one simulated client
-//!   session per model over loopback on the default (event) engine, cross-check one session
-//!   on the blocking engine, print the learned queries and the `METRICS` line, shut down,
-//!   exit 0. This is what CI runs on every push.
+//!   session per model over loopback, print the learned queries and the `METRICS` line, shut
+//!   down, exit 0. This is what CI runs on every push.
 
 use crate::client::{drive_goal_session, Client, Goal};
-use crate::server::{spawn, Engine, RateLimit, ServerConfig};
+use crate::server::{spawn, RateLimit, ServerConfig};
+
+/// The serving flags, each with whether it takes a value.
+const FLAGS: &[(&str, bool)] = &[
+    ("--addr", true),
+    ("--workers", true),
+    ("--max-connections", true),
+    ("--rate-limit", true),
+    ("--data-dir", true),
+    ("--persist", false),
+    ("--faults", true),
+];
 
 fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a String> {
     args.iter()
@@ -24,19 +34,31 @@ fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a String> {
         .and_then(|ix| args.get(ix + 1))
 }
 
+/// Reject any argument that is neither a known flag nor the value of one.
+fn check_known_flags(args: &[String]) -> Result<(), String> {
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        match FLAGS.iter().find(|(flag, _)| flag == arg) {
+            Some((_, true)) if rest.next().is_none() => {
+                return Err(format!("{arg} needs a value"));
+            }
+            Some(_) => {}
+            None => return Err(format!("unknown argument {arg:?}")),
+        }
+    }
+    Ok(())
+}
+
 /// Parse the serving flags shared by the serve-forever mode (and, for the config shape, the
 /// bench harness): returns the config or an error message naming the bad flag.
 fn parse_config(args: &[String]) -> Result<ServerConfig, String> {
+    check_known_flags(args)?;
     let mut config = ServerConfig {
         addr: flag_value(args, "--addr")
             .cloned()
             .unwrap_or_else(|| "127.0.0.1:7878".to_string()),
         ..Default::default()
     };
-    if let Some(name) = flag_value(args, "--engine") {
-        config.engine = Engine::parse(name)
-            .ok_or_else(|| format!("--engine must be event|blocking, got {name:?}"))?;
-    }
     if let Some(n) = flag_value(args, "--workers") {
         config.workers = n
             .parse::<usize>()
@@ -93,7 +115,6 @@ pub fn run(args: impl Iterator<Item = String>) -> i32 {
         }
     };
     let addr = config.addr.clone();
-    let engine = config.engine;
     let persist = config.persist;
     let handle = match spawn(config) {
         Ok(h) => h,
@@ -103,9 +124,8 @@ pub fn run(args: impl Iterator<Item = String>) -> i32 {
         }
     };
     println!(
-        "qbe-server listening on {} (engine {}; models twig,path,join,graph; corpora {}{})",
+        "qbe-server listening on {} (models twig,path,join,graph; corpora {}{})",
         handle.addr(),
-        engine.name(),
         crate::corpus::CORPUS_NAMES.join(","),
         if persist { "; persistence on" } else { "" }
     );
@@ -122,7 +142,7 @@ fn run_smoke() -> i32 {
         }
     };
     let addr = handle.addr();
-    println!("qbe-server --smoke on {addr} (event engine)");
+    println!("qbe-server --smoke on {addr}");
     println!(
         "{:<28} {:>10} {:>12} {:>6}  learned",
         "session", "questions", "answer-set", "ok"
@@ -181,43 +201,8 @@ fn run_smoke() -> i32 {
     }
     handle.shutdown();
 
-    // The blocking engine is the executable spec: one session must still converge on it.
-    match spawn(ServerConfig {
-        engine: Engine::Blocking,
-        ..Default::default()
-    }) {
-        Ok(blocking) => {
-            match drive_goal_session(
-                blocking.addr(),
-                "tiny",
-                &Goal::Twig("//person/name".to_string()),
-                &[("seed", "7")],
-            ) {
-                Ok(outcome) if outcome.consistent => {
-                    println!("blocking-engine cross-check ok ({})", outcome.hypothesis);
-                }
-                Ok(outcome) => {
-                    eprintln!(
-                        "blocking-engine session inconsistent: {}",
-                        outcome.hypothesis
-                    );
-                    failures += 1;
-                }
-                Err(e) => {
-                    eprintln!("blocking-engine session failed: {e}");
-                    failures += 1;
-                }
-            }
-            blocking.shutdown();
-        }
-        Err(e) => {
-            eprintln!("qbe-server --smoke: cannot bind blocking engine: {e}");
-            failures += 1;
-        }
-    }
-
     if failures == 0 {
-        println!("smoke ok: sessions learned over loopback on both engines");
+        println!("smoke ok: sessions learned over loopback");
         0
     } else {
         eprintln!("smoke failed: {failures} problem(s)");
@@ -238,8 +223,6 @@ mod tests {
         let config = parse_config(&strs(&[
             "--addr",
             "127.0.0.1:9000",
-            "--engine",
-            "blocking",
             "--workers",
             "3",
             "--max-connections",
@@ -249,22 +232,34 @@ mod tests {
         ]))
         .unwrap();
         assert_eq!(config.addr, "127.0.0.1:9000");
-        assert_eq!(config.engine, Engine::Blocking);
         assert_eq!(config.workers, 3);
         assert_eq!(config.max_connections, 500);
         let limit = config.rate_limit.unwrap();
         assert_eq!(limit.burst, 20);
         assert_eq!(limit.per_sec, 5.0);
 
-        // Defaults: event engine, no rate limit.
+        // Defaults: no rate limit.
         let defaults = parse_config(&strs(&[])).unwrap();
-        assert_eq!(defaults.engine, Engine::Event);
         assert!(defaults.rate_limit.is_none());
 
-        assert!(parse_config(&strs(&["--engine", "fibers"])).is_err());
         assert!(parse_config(&strs(&["--workers", "0"])).is_err());
         assert!(parse_config(&strs(&["--rate-limit", "20"])).is_err());
         assert!(parse_config(&strs(&["--rate-limit", "0/5"])).is_err());
+
+        // Unknown arguments fail loudly and are named in the error: an engine switch or a
+        // misspelt --persist must not quietly serve with defaults.
+        for (args, culprit) in [
+            (&["--engine", "blocking"][..], "--engine"),
+            (&["--data-dir", "/tmp/qbe", "--presist"], "--presist"),
+            (&["--workers", "2", "stray"], "stray"),
+        ] {
+            let err = parse_config(&strs(args)).unwrap_err();
+            assert!(err.contains(culprit), "{args:?}: {err}");
+        }
+        assert!(
+            parse_config(&strs(&["--addr"])).is_err(),
+            "a flag without its value"
+        );
     }
 
     #[test]

@@ -52,7 +52,7 @@ struct NoisyRun {
 }
 
 /// One request through the "wire": the drop decision is made before [`respond`] executes
-/// and applied after, exactly as the real engines do — the operation lands, the reply is
+/// and applied after, exactly as the workers do — the operation lands, the reply is
 /// lost. On a drop the simulated client immediately reconnects and `RESUME`s; the lost
 /// reply comes back as the `Err` so `ANSWER` callers can disambiguate.
 fn exchange(

@@ -7,10 +7,9 @@
 //! ([`qbe_core::session::InteractiveLearner`]). This crate is the missing serving layer: a
 //! TCP service speaking a hand-rolled line protocol (no registry access, hence no serde),
 //! multiplexing many users' learning sessions over corpora that are built once and shared
-//! behind `Arc`s. Two engines serve the identical protocol: the default event-driven one (an
-//! epoll/poll readiness loop in a single reactor thread plus a fixed worker pool — 10k+
-//! concurrent connections on commodity fd limits) and the original thread-per-connection
-//! engine, kept behind [`server::Engine::Blocking`] as the executable specification.
+//! behind `Arc`s. One event-driven engine serves the protocol: an epoll/poll readiness loop in
+//! a single reactor thread plus a fixed worker pool — 10k+ concurrent connections on
+//! commodity fd limits.
 //!
 //! A session, over the wire:
 //!
@@ -68,5 +67,5 @@ pub use retry::{
     RetryPolicy, FAULT_SITE_CLIENT_DROP, FAULT_SITE_CLIENT_DROP_REPLY,
 };
 pub use server::{
-    spawn, Engine, RateLimit, ServerConfig, ServerHandle, FAULT_SITE_DROP, FAULT_SITE_LATENCY,
+    spawn, RateLimit, ServerConfig, ServerHandle, FAULT_SITE_DROP, FAULT_SITE_LATENCY,
 };

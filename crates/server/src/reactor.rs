@@ -14,8 +14,7 @@
 //! * `Closing(state)` — a goodbye or error reply is flushing; the connection closes when the
 //!   buffer drains (or its deadline passes, for a peer that never reads).
 //!
-//! The same defensive behaviours as the blocking engine, by construction rather than by
-//! thread-local timeouts:
+//! The defensive behaviours hold by construction rather than by thread-local timeouts:
 //!
 //! * **total per-line deadline** — each connection carries an absolute deadline, re-armed only
 //!   when a full line completes; a trickling client is swept out regardless of how often its
@@ -313,8 +312,8 @@ impl Reactor {
 
     /// Pause accepting for `delay`: with a level-triggered poller, an un-accepted pending
     /// connection (or a persistently failing accept) would otherwise turn every `wait` into a
-    /// busy spin. Deregistering the listener is the event-loop analogue of the blocking
-    /// engine's backoff sleep — without stopping service to established connections.
+    /// busy spin. Deregistering the listener is the event-loop form of a backoff sleep —
+    /// without stopping service to established connections.
     fn pause_accept(&mut self, delay: Duration) {
         if self.listener_registered {
             let _ = self.poller.deregister(self.listener.as_raw_fd());

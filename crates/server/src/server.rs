@@ -1,19 +1,15 @@
-//! The TCP service: two engines over one [`SessionRegistry`] and one [`CorpusStore`].
+//! The TCP service over one [`SessionRegistry`] and one [`CorpusStore`].
 //!
-//! * [`Engine::Event`] (the default) — a nonblocking readiness loop (the private
-//!   `reactor` module) owns every socket and its buffers, and a small fixed worker pool
-//!   (the `workers` module) executes session steps, so ten thousand idle connections cost
-//!   ten thousand fds and *zero* threads, and one slow session step never pins an OS thread
-//!   per connection.
-//! * [`Engine::Blocking`] — the original thread-per-connection service, retained as the
-//!   executable specification of the protocol behaviour (the differential loopback test runs
-//!   the same transcript against both engines and compares replies byte for byte).
+//! A nonblocking readiness loop (the private `reactor` module) owns every socket and its
+//! buffers, and a small fixed worker pool (the `workers` module) executes session steps, so
+//! ten thousand idle connections cost ten thousand fds and *zero* threads, and one slow
+//! session step never pins an OS thread per connection.
 //!
-//! Both engines share this module's protocol core: `ProtoState` (per-connection corpus +
-//! session), `respond` (one request line → one reply line), [`read_line_bounded`] framing,
-//! and the accept-error classification ([`classify_accept_error`], [`AcceptBackoff`]) that
-//! keeps a failing `accept(2)` — EMFILE fd exhaustion, aborted handshakes — from busy-spinning
-//! the accept path at 100% CPU.
+//! This module holds the protocol core the reactor and workers run: `ProtoState`
+//! (per-connection corpus + session), `respond` (one request line → one reply line), and the
+//! accept-error classification ([`classify_accept_error`], [`AcceptBackoff`]) that keeps a
+//! failing `accept(2)` — EMFILE fd exhaustion, aborted handshakes — from busy-spinning the
+//! accept path at 100% CPU. [`read_line_bounded`] is the matching client-side framing.
 //!
 //! Connection-handling guarantees (each one a regression test in `tests/`):
 //!
@@ -23,17 +19,15 @@
 //!   nonblocking socket, so a rejected client that never reads cannot stall later accepts;
 //! * **bounded framing** — a line longer than [`crate::protocol::MAX_LINE_BYTES`] terminates
 //!   the connection with an explanatory `-ERR`;
-//! * **graceful shutdown** ([`ServerHandle::shutdown`]) quiesces either engine and reports
+//! * **graceful shutdown** ([`ServerHandle::shutdown`]) quiesces the server and reports
 //!   still-open sessions as abandoned in the metrics.
 
-use std::collections::HashMap;
-use std::io::{self, BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io::{self, BufRead};
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use qbe_core::faults::FaultRegistry;
 use qbe_core::graph::{PathStrategy, QueryClass};
@@ -47,41 +41,14 @@ use qbe_core::{
 };
 
 use crate::corpus::{Corpus, CorpusError, CorpusStore, CORPUS_NAMES};
-use crate::protocol::{parse_command, render_fields, Command, Model, MAX_LINE_BYTES};
+use crate::protocol::{parse_command, render_fields, Command, Model};
+use crate::reactor::ReactorHandle;
 use crate::registry::SessionRegistry;
 
-/// Which serving engine [`spawn`] starts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Engine {
-    /// Nonblocking readiness loop + worker pool (the default).
-    Event,
-    /// Thread-per-connection over blocking `std::net` — the executable spec.
-    Blocking,
-}
-
-impl Engine {
-    /// Canonical lower-case name (the `--engine` CLI vocabulary).
-    pub fn name(self) -> &'static str {
-        match self {
-            Engine::Event => "event",
-            Engine::Blocking => "blocking",
-        }
-    }
-
-    /// Parse an engine name.
-    pub fn parse(s: &str) -> Option<Engine> {
-        match s {
-            "event" => Some(Engine::Event),
-            "blocking" => Some(Engine::Blocking),
-            _ => None,
-        }
-    }
-}
-
-/// Per-session token-bucket rate limit (event engine): a session may burst `burst` sheddable
-/// requests, then is refilled at `per_sec` tokens per second. `ASK`/`EVAL` consume a token
-/// each; `ANSWER`/`QUIT` (and the other control commands) always pass, so a throttled client
-/// can still finish what it started — shedding happens on the expensive, retryable requests.
+/// Per-session token-bucket rate limit: a session may burst `burst` sheddable requests, then
+/// is refilled at `per_sec` tokens per second. `ASK`/`EVAL` consume a token each;
+/// `ANSWER`/`QUIT` (and the other control commands) always pass, so a throttled client can
+/// still finish what it started — shedding happens on the expensive, retryable requests.
 #[derive(Debug, Clone, Copy)]
 pub struct RateLimit {
     /// Bucket capacity: sheddable requests a session may issue back-to-back.
@@ -100,18 +67,16 @@ pub struct ServerConfig {
     /// Total deadline for one request line: a connection that has not completed a line this
     /// long after its previous one is closed — trickling bytes does *not* extend it.
     pub read_timeout: Duration,
-    /// Cap on one blocking write (blocking engine) / on flushing a pending reply (event
-    /// engine, via the per-line deadline).
+    /// How long a closing connection's final reply may take to flush: a peer that never
+    /// reads its goodbye or error line is dropped after this, so it cannot hold its slot.
     pub write_timeout: Duration,
-    /// Which engine serves connections.
-    pub engine: Engine,
-    /// Worker threads executing session steps (event engine only).
+    /// Worker threads executing session steps.
     pub workers: usize,
-    /// Per-session rate limit (event engine only); `None` disables throttling.
+    /// Per-session rate limit; `None` disables throttling.
     pub rate_limit: Option<RateLimit>,
-    /// Load-shedding threshold (event engine only): when this many requests are already
-    /// queued for the worker pool, `ASK`/`EVAL` are shed with a retryable `-ERR` instead of
-    /// queueing behind them. `ANSWER`/`QUIT` always pass.
+    /// Load-shedding threshold: when this many requests are already queued for the worker
+    /// pool, `ASK`/`EVAL` are shed with a retryable `-ERR` instead of queueing behind them.
+    /// `ANSWER`/`QUIT` always pass.
     pub shed_queue_depth: usize,
     /// Directory for corpus snapshots (and the session WAL when [`persist`](Self::persist)
     /// is on). `None` keeps everything in memory.
@@ -135,7 +100,6 @@ impl Default for ServerConfig {
             max_connections: 64,
             read_timeout: Duration::from_secs(30),
             write_timeout: Duration::from_secs(10),
-            engine: Engine::Event,
             workers: std::thread::available_parallelism()
                 .map(|n| n.get().clamp(2, 8))
                 .unwrap_or(2),
@@ -158,13 +122,13 @@ pub const FAULT_SITE_LATENCY: &str = "server.latency";
 /// client can `RESUME` it.
 pub const FAULT_SITE_DROP: &str = "server.drop";
 
-/// Everything the protocol core needs to answer a request line, shared by both engines and
+/// Everything the protocol core needs to answer a request line, shared by the reactor and
 /// every worker thread.
 pub(crate) struct Service {
     pub(crate) registry: SessionRegistry,
     pub(crate) store: CorpusStore,
-    /// The session WAL, present only with `--persist`. Appends happen on worker / connection
-    /// threads (never the reactor thread) and are fsync-batched inside the writer.
+    /// The session WAL, present only with `--persist`. Appends happen on worker threads
+    /// (never the reactor thread) and are fsync-batched inside the writer.
     wal: Option<Mutex<WalWriter>>,
     /// Set on graceful shutdown: stop writing `Close` records, so sessions open at shutdown
     /// stay resumable after the next boot (only client `QUIT`s and disconnects close durably).
@@ -238,8 +202,8 @@ impl Service {
         self.faults.is_some()
     }
 
-    /// Sleep out any injected per-op latency. Called on worker / connection threads only,
-    /// never the reactor thread.
+    /// Sleep out any injected per-op latency. Called on worker threads only, never the
+    /// reactor thread.
     pub(crate) fn inject_latency(&self) {
         if let Some(delay) = self
             .faults
@@ -317,7 +281,7 @@ impl Service {
 
     /// Flush the WAL's pending fsync batch (up to `sync_every − 1` records otherwise riding
     /// on the OS cache). Returns `true` when pending records were made durable. Called on
-    /// session close and graceful shutdown of either engine.
+    /// session close and graceful shutdown.
     pub(crate) fn flush_wal(&self) -> bool {
         let Some(wal) = &self.wal else { return false };
         let mut writer = wal.lock().unwrap_or_else(PoisonError::into_inner);
@@ -334,34 +298,14 @@ impl Service {
     }
 }
 
-struct Shared {
-    config: ServerConfig,
-    service: Arc<Service>,
-    shutdown: AtomicBool,
-    active: AtomicUsize,
-    /// One socket clone per live connection, so shutdown can wake blocked reads.
-    live_streams: Mutex<HashMap<u64, TcpStream>>,
-    /// Join handles of finished-or-running connection threads, reaped on shutdown.
-    conn_threads: Mutex<Vec<JoinHandle<()>>>,
-    next_conn: AtomicU64,
-}
-
-enum EngineHandle {
-    Blocking {
-        shared: Arc<Shared>,
-        accept_thread: Option<JoinHandle<()>>,
-    },
-    Event(crate::reactor::ReactorHandle),
-}
-
-/// A running server; dropping it without calling [`shutdown`](Self::shutdown) leaves the
-/// engine serving until the process exits (what the standalone binary wants).
+/// A running server; dropping it without calling [`shutdown`](Self::shutdown) leaves it
+/// serving until the process exits (what the standalone binary wants).
 pub struct ServerHandle {
     addr: SocketAddr,
-    engine: EngineHandle,
+    reactor: ReactorHandle,
 }
 
-/// Bind and start serving with the configured engine. Returns as soon as the listener is live.
+/// Bind and start serving. Returns as soon as the listener is live.
 pub fn spawn(config: ServerConfig) -> io::Result<ServerHandle> {
     // With persistence on, WAL recovery runs here — before the listener binds — so no client
     // can connect to a server whose sessions are still being reconstructed.
@@ -373,31 +317,8 @@ pub fn spawn(config: ServerConfig) -> io::Result<ServerHandle> {
             })?,
         )?;
     let addr = listener.local_addr()?;
-    let engine = match config.engine {
-        Engine::Event => {
-            EngineHandle::Event(crate::reactor::spawn_reactor(listener, config, service)?)
-        }
-        Engine::Blocking => {
-            let shared = Arc::new(Shared {
-                config,
-                service,
-                shutdown: AtomicBool::new(false),
-                active: AtomicUsize::new(0),
-                live_streams: Mutex::new(HashMap::new()),
-                conn_threads: Mutex::new(Vec::new()),
-                next_conn: AtomicU64::new(1),
-            });
-            let accept_shared = shared.clone();
-            let accept_thread = std::thread::Builder::new()
-                .name("qbe-server-accept".to_string())
-                .spawn(move || accept_loop(listener, accept_shared))?;
-            EngineHandle::Blocking {
-                shared,
-                accept_thread: Some(accept_thread),
-            }
-        }
-    };
-    Ok(ServerHandle { addr, engine })
+    let reactor = crate::reactor::spawn_reactor(listener, config, service)?;
+    Ok(ServerHandle { addr, reactor })
 }
 
 impl ServerHandle {
@@ -408,67 +329,18 @@ impl ServerHandle {
 
     /// Number of live (admitted) connections.
     pub fn active_connections(&self) -> usize {
-        match &self.engine {
-            EngineHandle::Blocking { shared, .. } => shared.active.load(Ordering::SeqCst),
-            EngineHandle::Event(h) => h.active_connections(),
-        }
+        self.reactor.active_connections()
     }
 
     /// Stop accepting, wake and join everything, and return once the server is fully
     /// quiesced. Open sessions are reported as abandoned.
-    pub fn shutdown(self) {
-        match self.engine {
-            EngineHandle::Blocking {
-                shared,
-                mut accept_thread,
-            } => {
-                // From here on, connection teardown must not write WAL Close records: these
-                // sessions are being preserved for the next boot, not abandoned.
-                shared.service.preserve_sessions();
-                shared.shutdown.store(true, Ordering::SeqCst);
-                // Unblock the accept loop with a throwaway connection; it checks the flag
-                // first thing.
-                let _ = TcpStream::connect(self.addr);
-                if let Some(t) = accept_thread.take() {
-                    let _ = t.join();
-                }
-                // Wake every connection blocked in a read.
-                for (_, stream) in shared
-                    .live_streams
-                    .lock()
-                    .expect("stream map lock never poisoned")
-                    .drain()
-                {
-                    let _ = stream.shutdown(std::net::Shutdown::Both);
-                }
-                let threads: Vec<JoinHandle<()>> = std::mem::take(
-                    &mut *shared
-                        .conn_threads
-                        .lock()
-                        .expect("thread list lock never poisoned"),
-                );
-                for t in threads {
-                    let _ = t.join();
-                }
-                // Every connection thread is done appending: make the WAL tail durable.
-                shared.service.flush_wal();
-            }
-            EngineHandle::Event(mut h) => h.shutdown(),
-        }
+    pub fn shutdown(mut self) {
+        self.reactor.shutdown();
     }
 
-    /// Block until the engine exits (the standalone binary's serve-forever mode).
-    pub fn join(self) {
-        match self.engine {
-            EngineHandle::Blocking {
-                mut accept_thread, ..
-            } => {
-                if let Some(t) = accept_thread.take() {
-                    let _ = t.join();
-                }
-            }
-            EngineHandle::Event(mut h) => h.join(),
-        }
+    /// Block until the server exits (the standalone binary's serve-forever mode).
+    pub fn join(mut self) {
+        self.reactor.join();
     }
 }
 
@@ -532,112 +404,12 @@ impl AcceptBackoff {
     }
 }
 
-/// Write the at-capacity rejection without ever blocking the accept path: the socket is
-/// flipped to nonblocking and the reply is a single best-effort `write`. A fresh socket's
-/// send buffer always has room for one short line, so in practice the client still sees the
-/// error — but a client that never reads can no longer stall accepts for `write_timeout`.
-pub(crate) fn reject_at_capacity(stream: &mut TcpStream) {
-    let _ = stream.set_nonblocking(true);
-    let _ = stream.write(b"-ERR server at capacity, retry later\n");
-    // dropped by the caller ⇒ closed
-}
-
-fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
-    let mut backoff = AcceptBackoff::new();
-    loop {
-        let stream = match listener.accept() {
-            Ok((stream, _)) => {
-                backoff.reset();
-                stream
-            }
-            Err(e) => {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    break;
-                }
-                match classify_accept_error(&e) {
-                    AcceptError::Transient => {
-                        std::thread::sleep(backoff.next_delay());
-                        continue;
-                    }
-                    AcceptError::Fatal => break,
-                }
-            }
-        };
-        if shared.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        let mut stream = stream;
-        // The protocol is many tiny request/response lines: without TCP_NODELAY, Nagle's
-        // algorithm + delayed ACKs add ~40 ms to every round trip.
-        let _ = stream.set_nodelay(true);
-        if shared.active.load(Ordering::SeqCst) >= shared.config.max_connections {
-            shared.service.registry.note_rejected();
-            reject_at_capacity(&mut stream);
-            continue; // dropped ⇒ closed
-        }
-        shared.active.fetch_add(1, Ordering::SeqCst);
-        let conn_id = shared.next_conn.fetch_add(1, Ordering::Relaxed);
-        if let Ok(clone) = stream.try_clone() {
-            shared
-                .live_streams
-                .lock()
-                .expect("stream map lock never poisoned")
-                .insert(conn_id, clone);
-        }
-        let conn_shared = shared.clone();
-        let handle = std::thread::Builder::new()
-            .name(format!("qbe-server-conn-{conn_id}"))
-            .spawn(move || {
-                // Drop guard: the capacity slot and stream-map entry are released even if the
-                // handler panics — a panicking connection must not wedge the admission gate.
-                struct ConnGuard {
-                    shared: Arc<Shared>,
-                    conn_id: u64,
-                }
-                impl Drop for ConnGuard {
-                    fn drop(&mut self) {
-                        if let Ok(mut streams) = self.shared.live_streams.lock() {
-                            streams.remove(&self.conn_id);
-                        }
-                        self.shared.active.fetch_sub(1, Ordering::SeqCst);
-                    }
-                }
-                let _guard = ConnGuard {
-                    shared: conn_shared.clone(),
-                    conn_id,
-                };
-                handle_connection(&conn_shared, stream, conn_id);
-            });
-        match handle {
-            Ok(h) => {
-                let mut threads = shared
-                    .conn_threads
-                    .lock()
-                    .expect("thread list lock never poisoned");
-                // Reap finished connections as new ones arrive, so the serve-forever mode does
-                // not accumulate one JoinHandle per connection ever served.
-                threads.retain(|t| !t.is_finished());
-                threads.push(h);
-            }
-            Err(_) => {
-                // Thread spawn failed: undo the admission.
-                shared.active.fetch_sub(1, Ordering::SeqCst);
-                shared
-                    .live_streams
-                    .lock()
-                    .expect("stream map lock never poisoned")
-                    .remove(&conn_id);
-            }
-        }
-    }
-}
-
 /// Why [`read_line_bounded`] stopped.
 #[derive(Debug)]
 pub enum LineError {
     /// Peer closed the connection (possibly mid-line).
     Closed,
-    /// No complete line arrived within the socket's read timeout / the line deadline.
+    /// No complete line arrived within the socket's read timeout.
     TimedOut,
     /// The line exceeded the byte cap before a newline appeared.
     TooLong,
@@ -645,91 +417,51 @@ pub enum LineError {
     Io(io::Error),
 }
 
-/// One `fill_buf` step of bounded line reading, shared by the per-read-timeout and
-/// per-line-deadline variants. `Ok(Some(line))` on a complete line, `Ok(None)` to keep
-/// reading.
-fn line_step(
-    reader: &mut impl BufRead,
-    line: &mut Vec<u8>,
-    max: usize,
-) -> Result<Option<String>, LineError> {
-    let available = match reader.fill_buf() {
-        Ok(b) => b,
-        Err(e) if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut => {
-            return Err(LineError::TimedOut)
-        }
-        Err(e) if e.kind() == io::ErrorKind::Interrupted => return Ok(None),
-        Err(e) => return Err(LineError::Io(e)),
-    };
-    if available.is_empty() {
-        return Err(LineError::Closed);
-    }
-    if let Some(pos) = available.iter().position(|&b| b == b'\n') {
-        line.extend_from_slice(&available[..pos]);
-        reader.consume(pos + 1);
-        // CRLF framing: the \r is part of the line ending, not the content, so strip it
-        // before enforcing the content cap.
-        if line.last() == Some(&b'\r') {
-            line.pop();
-        }
-        if line.len() > max {
-            return Err(LineError::TooLong);
-        }
-        return Ok(Some(String::from_utf8_lossy(line).into_owned()));
-    }
-    let n = available.len();
-    line.extend_from_slice(available);
-    reader.consume(n);
-    // Mid-line the cap allows one extra byte: a \r that may turn out to be CRLF framing
-    // once the \n arrives.
-    if line.len() > max + 1 {
-        return Err(LineError::TooLong);
-    }
-    Ok(None)
-}
-
 /// Read one `\n`-terminated line of at most `max` bytes (newline excluded), without ever
 /// buffering more than `max` bytes of an unterminated line. Timeout behaviour is whatever
-/// the underlying reader's is — **per read call**, so server paths that must bound the whole
-/// line use [`read_line_bounded_deadline`] instead.
+/// the underlying reader's is — **per read call**.
 pub fn read_line_bounded(reader: &mut impl BufRead, max: usize) -> Result<String, LineError> {
     let mut line: Vec<u8> = Vec::new();
     loop {
-        if let Some(done) = line_step(reader, &mut line, max)? {
-            return Ok(done);
+        let available = match reader.fill_buf() {
+            Ok(b) => b,
+            Err(e)
+                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
+            {
+                return Err(LineError::TimedOut)
+            }
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(LineError::Io(e)),
+        };
+        if available.is_empty() {
+            return Err(LineError::Closed);
+        }
+        if let Some(pos) = available.iter().position(|&b| b == b'\n') {
+            line.extend_from_slice(&available[..pos]);
+            reader.consume(pos + 1);
+            // CRLF framing: the \r is part of the line ending, not the content, so strip it
+            // before enforcing the content cap.
+            if line.last() == Some(&b'\r') {
+                line.pop();
+            }
+            if line.len() > max {
+                return Err(LineError::TooLong);
+            }
+            return Ok(String::from_utf8_lossy(&line).into_owned());
+        }
+        let n = available.len();
+        line.extend_from_slice(available);
+        reader.consume(n);
+        // Mid-line the cap allows one extra byte: a \r that may turn out to be CRLF framing
+        // once the \n arrives.
+        if line.len() > max + 1 {
+            return Err(LineError::TooLong);
         }
     }
 }
 
-/// [`read_line_bounded`] under a **total** deadline: the whole line must complete before
-/// `deadline`, however slowly its bytes trickle in. This is the slow-loris fix — with a
-/// per-read timeout alone, a client sending one byte every `read_timeout − ε` holds its
-/// connection (and a capacity slot) forever.
-///
-/// The stream's read timeout is re-armed to the remaining budget before every read.
-pub fn read_line_bounded_deadline(
-    reader: &mut BufReader<TcpStream>,
-    max: usize,
-    deadline: Instant,
-) -> Result<String, LineError> {
-    let mut line: Vec<u8> = Vec::new();
-    loop {
-        let now = Instant::now();
-        if now >= deadline {
-            return Err(LineError::TimedOut);
-        }
-        // `fill_buf` only touches the socket when its buffer is empty, so re-arming the
-        // timeout here is cheap and always reflects the remaining budget.
-        let _ = reader.get_ref().set_read_timeout(Some(deadline - now));
-        if let Some(done) = line_step(reader, &mut line, max)? {
-            return Ok(done);
-        }
-    }
-}
-
-/// Per-connection protocol state: the attached corpus and the open session. Owned by the
-/// connection thread (blocking engine) or checked out into the worker executing the
-/// connection's current request (event engine) — never shared, so never locked.
+/// Per-connection protocol state: the attached corpus and the open session. Checked out into
+/// the worker executing the connection's current request — never shared, so never locked.
 pub(crate) struct ProtoState {
     corpus: Option<Arc<Corpus>>,
     session: Option<u64>,
@@ -770,65 +502,8 @@ impl ProtoState {
     }
 }
 
-fn handle_connection(shared: &Shared, stream: TcpStream, _conn_id: u64) {
-    let _ = stream.set_write_timeout(Some(shared.config.write_timeout));
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
-    let mut reader = BufReader::new(stream);
-    let mut state = ProtoState::new();
-    let service = &shared.service;
-    let registry = &service.registry;
-    if writeln!(writer, "+OK qbe-server ready").is_err() {
-        return;
-    }
-    loop {
-        // The deadline covers the whole next line: trickling bytes does not extend it.
-        let deadline = Instant::now() + shared.config.read_timeout;
-        let line = match read_line_bounded_deadline(&mut reader, MAX_LINE_BYTES, deadline) {
-            Ok(line) => line,
-            Err(LineError::Closed) => break,
-            Err(LineError::TimedOut) => {
-                if !shared.shutdown.load(Ordering::SeqCst) {
-                    registry.note_timeout();
-                    let _ = writeln!(writer, "-ERR idle timeout, closing");
-                }
-                break;
-            }
-            Err(LineError::TooLong) => {
-                // The rest of the oversized line is unread: the stream is desynchronised, so
-                // closing is the only safe continuation.
-                let _ = writeln!(writer, "-ERR line exceeds {MAX_LINE_BYTES} bytes, closing");
-                break;
-            }
-            Err(LineError::Io(_)) => break,
-        };
-        if shared.shutdown.load(Ordering::SeqCst) {
-            let _ = writeln!(writer, "-ERR server shutting down");
-            break;
-        }
-        service.inject_latency();
-        // Decide the injected drop before executing, apply it after: the operation lands
-        // but its reply is lost — the case a resilient client must disambiguate.
-        let dropped = service.injected_drop(&line);
-        let (reply, quit) = respond(&shared.service, &mut state, &line);
-        if dropped {
-            state.detach();
-            break;
-        }
-        if writeln!(writer, "{reply}").is_err() {
-            break;
-        }
-        if quit {
-            break;
-        }
-    }
-    state.teardown(service);
-}
-
 /// Produce the one-line reply to one request line, plus whether the connection should close.
-/// The protocol core both engines execute — byte-identical replies by construction.
+/// The protocol core every worker executes.
 pub(crate) fn respond(service: &Service, state: &mut ProtoState, line: &str) -> (String, bool) {
     let registry = &service.registry;
     let command = match parse_command(line) {
@@ -1222,41 +897,6 @@ mod tests {
         assert_eq!(last, Duration::from_millis(500));
         b.reset();
         assert_eq!(b.next_delay(), Duration::from_millis(1));
-    }
-
-    #[test]
-    fn deadline_reader_bounds_the_whole_line_not_one_read() {
-        // A trickling peer: one byte every 30 ms against a 150 ms *total* deadline. The
-        // per-read timeout never fires (bytes keep arriving), so only the total deadline can
-        // end this — which is exactly the slow-loris fix.
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let trickler = std::thread::spawn(move || {
-            let mut s = TcpStream::connect(addr).unwrap();
-            for _ in 0..40 {
-                if s.write_all(b"x").is_err() {
-                    break;
-                }
-                std::thread::sleep(Duration::from_millis(30));
-            }
-        });
-        let (stream, _) = listener.accept().unwrap();
-        let mut reader = BufReader::new(stream);
-        let start = Instant::now();
-        let deadline = start + Duration::from_millis(150);
-        let out = read_line_bounded_deadline(&mut reader, MAX_LINE_BYTES, deadline);
-        let elapsed = start.elapsed();
-        assert!(matches!(out, Err(LineError::TimedOut)), "{out:?}");
-        assert!(
-            elapsed >= Duration::from_millis(140),
-            "not before the deadline: {elapsed:?}"
-        );
-        assert!(
-            elapsed < Duration::from_secs(1),
-            "the trickle must not extend the deadline: {elapsed:?}"
-        );
-        drop(reader);
-        trickler.join().unwrap();
     }
 
     #[test]

@@ -1,7 +1,6 @@
-//! Loopback tests specific to the serving-tier rewrite: the event-driven engine's defensive
-//! behaviours (slow-loris deadlines, capacity bursts, rate limiting, load shedding, idle
-//! scale), plus the differential test pinning both engines to byte-identical protocol
-//! behaviour.
+//! Loopback tests of the event-driven engine: its defensive behaviours (slow-loris
+//! deadlines, capacity bursts, rate limiting, load shedding, idle scale), plus a golden
+//! transcript pinning its protocol replies byte for byte.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -9,7 +8,7 @@ use std::time::{Duration, Instant};
 
 use qbe_server::client::{drive_goal_session, Client, Goal};
 use qbe_server::server::{read_line_bounded, spawn, ServerConfig};
-use qbe_server::{Engine, RateLimit};
+use qbe_server::RateLimit;
 
 /// A raw line-protocol client: no retries, no interpretation, just request → reply strings.
 struct Raw {
@@ -48,36 +47,70 @@ fn metric(metrics: &[(String, String)], key: &str) -> u64 {
         .unwrap_or_else(|_| panic!("{key} is numeric"))
 }
 
-/// The engines must be indistinguishable on the wire: the full PROTOCOL.md vocabulary —
-/// happy paths, protocol errors, session replacement, metrics — replayed against a fresh
-/// server per engine, replies compared verbatim (minus the one wall-clock-dependent field).
+/// The full PROTOCOL.md vocabulary — happy paths, protocol errors, session replacement,
+/// metrics — replayed against a fresh server, replies compared verbatim with a committed
+/// golden transcript (minus the one wall-clock-dependent field). The replies are literals,
+/// so a change to any layer between the socket and the learners — `respond` included —
+/// shows up here.
 #[test]
-fn both_engines_serve_identical_transcripts() {
+fn golden_transcript_replays_byte_for_byte() {
     // Budget 2 pins the twig session's length; seeds pin every question. The transcript
     // exercises HELLO, CORPUS (unknown + known), START (bad strategy + twig + replacement by
     // join), ASK/ANSWER (including ANSWER with nothing pending), QUERY (too early + after
     // convergence), EVAL, METRICS, QUIT, and a malformed command.
-    const TRANSCRIPT: &[&str] = &[
-        "HELLO",
-        "BOGUS bogus",
-        "ASK",
-        "CORPUS nope",
-        "CORPUS tiny",
-        "START twig strategy=psychic",
-        "START twig seed=7 budget=2",
-        "QUERY",
-        "ANSWER yes",
-        "ASK",
-        "ANSWER yes",
-        "ASK",
-        "ANSWER no",
-        "ASK",
-        "QUERY",
-        "EVAL",
-        "START join seed=3",
-        "ASK",
-        "METRICS",
-        "QUIT",
+    const GOLDEN: &[(&str, &str)] = &[
+        ("<greeting>", "+OK qbe-server ready"),
+        (
+            "HELLO",
+            "+OK qbe-server proto=1.3 models=twig,path,join,graph classes=rpq,2rpq,crpq \
+             corpora=tiny,small,medium strategies=paper-order,random,max-coverage,cheapest-first \
+             options=strategy,budget,seed,class",
+        ),
+        ("BOGUS bogus", "-ERR unknown command \"BOGUS\""),
+        ("ASK", "-ERR no open session (use START)"),
+        (
+            "CORPUS nope",
+            "-ERR unknown corpus \"nope\" (known: tiny,small,medium)",
+        ),
+        (
+            "CORPUS tiny",
+            "+OK corpus name=tiny docs=1 xml_nodes=271 graph_nodes=10 tuples=12x12",
+        ),
+        (
+            "START twig strategy=psychic",
+            "-ERR unknown strategy, expected one of: document-order|shallow-first|label-affinity|\
+             paper-order|random|max-coverage|cheapest-first",
+        ),
+        ("START twig seed=7 budget=2", "+OK session id=1 model=twig"),
+        ("QUERY", "-ERR no hypothesis yet (no positive example)"),
+        ("ANSWER yes", "-ERR no question is pending; call propose"),
+        ("ASK", "+ASK doc=0 node=0 label=site path=/site"),
+        ("ANSWER yes", "+OK recorded"),
+        (
+            "ASK",
+            "+ASK doc=0 node=258 label=closed_auctions path=/site/closed_auctions",
+        ),
+        ("ANSWER no", "+OK recorded"),
+        ("ASK", "+DONE questions=2 consistent=true"),
+        (
+            "QUERY",
+            "+QUERY /site[categories][catgraph][closed_auctions][open_auctions][people][regions]\
+             [.//africa][.//asia][.//australia][.//category][.//closed_auction][.//europe]\
+             [.//namerica][.//open_auction][.//person][.//samerica]",
+        ),
+        ("EVAL", "+EVAL 1"),
+        ("START join seed=3", "+OK session id=2 model=join"),
+        (
+            "ASK",
+            "+ASK left=5 right=1 left_tuple=(5,5,3) right_tuple=(6,5,5)",
+        ),
+        (
+            "METRICS",
+            "+METRICS sessions=1 ok=1 active=1 total_questions=2 p50_questions=2 \
+             p95_questions=2 mean_questions=2.00 rejected=0 timeouts=0 shed=0 persisted=0 \
+             recovered=0 corpora_built=1 retries=0 reasks=0 faults_injected=0",
+        ),
+        ("QUIT", "+OK bye"),
     ];
 
     /// Drop the wall-clock field: it is the one legitimately nondeterministic value.
@@ -89,108 +122,82 @@ fn both_engines_serve_identical_transcripts() {
             .join(" ")
     }
 
-    let run = |engine: Engine| -> Vec<String> {
-        let handle = spawn(ServerConfig {
-            engine,
-            ..Default::default()
-        })
-        .unwrap();
-        let (mut raw, greeting) = Raw::connect(handle.addr());
-        let mut replies = vec![greeting];
-        for line in TRANSCRIPT {
-            replies.push(normalized(&raw.roundtrip(line)));
-        }
-        drop(raw);
-        handle.shutdown();
-        replies
-    };
-
-    let event = run(Engine::Event);
-    let blocking = run(Engine::Blocking);
-    assert_eq!(event.len(), blocking.len());
-    for ((request, e), b) in std::iter::once(&"<greeting>")
-        .chain(TRANSCRIPT)
-        .zip(&event)
-        .zip(&blocking)
-    {
-        assert_eq!(e, b, "engines disagree on {request:?}");
+    let handle = spawn(ServerConfig::default()).unwrap();
+    let (mut raw, greeting) = Raw::connect(handle.addr());
+    assert_eq!(greeting, GOLDEN[0].1, "greeting");
+    for &(request, expected) in &GOLDEN[1..] {
+        assert_eq!(
+            normalized(&raw.roundtrip(request)),
+            expected,
+            "reply to {request:?}"
+        );
     }
-    // And the transcript really covered both outcomes.
-    assert!(event.iter().any(|r| r.starts_with("+ASK")));
-    assert!(event.iter().any(|r| r.starts_with("+DONE")));
-    assert!(event.iter().any(|r| r.starts_with("-ERR")));
-    assert!(event.iter().any(|r| r.starts_with("+METRICS")));
+    drop(raw);
+    handle.shutdown();
 }
 
 /// The slow-loris regression: a client trickling bytes faster than the *per-read* timeout
-/// but never completing a line is disconnected at the total per-line deadline — on both
-/// engines — and the close is visible in the `timeouts` counter.
+/// but never completing a line is disconnected at the total per-line deadline, and the close
+/// is visible in the `timeouts` counter.
 #[test]
 fn trickling_clients_are_disconnected_at_the_deadline() {
-    for engine in [Engine::Event, Engine::Blocking] {
-        let handle = spawn(ServerConfig {
-            engine,
-            read_timeout: Duration::from_millis(400),
-            ..Default::default()
-        })
+    let handle = spawn(ServerConfig {
+        read_timeout: Duration::from_millis(400),
+        ..Default::default()
+    })
+    .unwrap();
+    let addr = handle.addr();
+
+    let stream = TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
         .unwrap();
-        let addr = handle.addr();
+    let mut reader = std::io::BufReader::new(stream.try_clone().unwrap());
+    assert!(read_line_bounded(&mut reader, 4096)
+        .unwrap()
+        .starts_with("+OK"));
 
-        let stream = TcpStream::connect(addr).unwrap();
-        stream
-            .set_read_timeout(Some(Duration::from_secs(10)))
-            .unwrap();
-        let mut reader = std::io::BufReader::new(stream.try_clone().unwrap());
-        assert!(read_line_bounded(&mut reader, 4096)
-            .unwrap()
-            .starts_with("+OK"));
-
-        // Trickle one byte every 80 ms — well inside any per-read timeout of 400 ms, so only
-        // a *total* deadline can end this connection.
-        let start = Instant::now();
-        let trickler = std::thread::spawn(move || {
-            let mut sock = stream;
-            for _ in 0..50 {
-                if sock.write_all(b"x").is_err() {
-                    break; // server closed us: exactly what the test wants
-                }
-                std::thread::sleep(Duration::from_millis(80));
+    // Trickle one byte every 80 ms — well inside any per-read timeout of 400 ms, so only a
+    // *total* deadline can end this connection.
+    let start = Instant::now();
+    let trickler = std::thread::spawn(move || {
+        let mut sock = stream;
+        for _ in 0..50 {
+            if sock.write_all(b"x").is_err() {
+                break; // server closed us: exactly what the test wants
             }
-        });
+            std::thread::sleep(Duration::from_millis(80));
+        }
+    });
 
-        // The server must end the connection (error line, then EOF) around the deadline.
-        let reply = read_line_bounded(&mut reader, 4096).unwrap();
-        let elapsed = start.elapsed();
-        assert!(
-            reply.contains("idle timeout"),
-            "{}: expected the timeout notice, got {reply:?}",
-            engine.name()
-        );
-        assert!(
-            elapsed >= Duration::from_millis(350),
-            "{}: closed before the deadline: {elapsed:?}",
-            engine.name()
-        );
-        assert!(
-            elapsed < Duration::from_secs(2),
-            "{}: the trickle extended the deadline: {elapsed:?}",
-            engine.name()
-        );
-        let mut rest = Vec::new();
-        let _ = reader.read_to_end(&mut rest); // EOF or reset — never a hang
-        trickler.join().unwrap();
+    // The server must end the connection (error line, then EOF) around the deadline.
+    let reply = read_line_bounded(&mut reader, 4096).unwrap();
+    let elapsed = start.elapsed();
+    assert!(
+        reply.contains("idle timeout"),
+        "expected the timeout notice, got {reply:?}"
+    );
+    assert!(
+        elapsed >= Duration::from_millis(350),
+        "closed before the deadline: {elapsed:?}"
+    );
+    assert!(
+        elapsed < Duration::from_secs(2),
+        "the trickle extended the deadline: {elapsed:?}"
+    );
+    let mut rest = Vec::new();
+    let _ = reader.read_to_end(&mut rest); // EOF or reset — never a hang
+    trickler.join().unwrap();
 
-        let mut probe = Client::connect(addr).unwrap();
-        let metrics = probe.metrics().unwrap();
-        assert_eq!(
-            metric(&metrics, "timeouts"),
-            1,
-            "{}: the disconnect is visible in METRICS",
-            engine.name()
-        );
-        drop(probe);
-        handle.shutdown();
-    }
+    let mut probe = Client::connect(addr).unwrap();
+    let metrics = probe.metrics().unwrap();
+    assert_eq!(
+        metric(&metrics, "timeouts"),
+        1,
+        "the disconnect is visible in METRICS"
+    );
+    drop(probe);
+    handle.shutdown();
 }
 
 /// The accept-path regression: a burst of connections past capacity — none of which ever
@@ -198,75 +205,67 @@ fn trickling_clients_are_disconnected_at_the_deadline() {
 /// are counted.
 #[test]
 fn capacity_bursts_do_not_delay_accepts_and_are_counted() {
-    for engine in [Engine::Event, Engine::Blocking] {
-        let handle = spawn(ServerConfig {
-            engine,
-            max_connections: 1,
-            ..Default::default()
-        })
-        .unwrap();
-        let addr = handle.addr();
+    let handle = spawn(ServerConfig {
+        max_connections: 1,
+        ..Default::default()
+    })
+    .unwrap();
+    let addr = handle.addr();
 
-        let occupant = Client::connect(addr).expect("first connection admitted");
-        // Burst: 8 connections that never read a byte. With a blocking rejection write this
-        // could cost up to 8 × write_timeout of accept stall; now it must be instant.
-        let start = Instant::now();
-        let burst: Vec<TcpStream> = (0..8)
-            .map(|i| TcpStream::connect(addr).unwrap_or_else(|e| panic!("connect {i}: {e}")))
-            .collect();
-        // The server has processed the whole burst once a later connection gets its
-        // rejection line: TCP accept order is FIFO.
-        let (mut probe_raw, greeting) = Raw::connect(addr);
-        assert!(
-            greeting.contains("capacity"),
-            "{}: over capacity, got {greeting:?}",
-            engine.name()
-        );
-        let burst_elapsed = start.elapsed();
-        assert!(
-            burst_elapsed < Duration::from_secs(5),
-            "{}: the burst stalled accepts for {burst_elapsed:?}",
-            engine.name()
-        );
-        let mut rest = Vec::new();
-        let _ = probe_raw.reader.read_to_end(&mut rest);
-        drop(probe_raw);
-        drop(burst);
+    let occupant = Client::connect(addr).expect("first connection admitted");
+    // Burst: 8 connections that never read a byte. With a blocking rejection write this could
+    // cost up to 8 × write_timeout of accept stall; it must be instant.
+    let start = Instant::now();
+    let burst: Vec<TcpStream> = (0..8)
+        .map(|i| TcpStream::connect(addr).unwrap_or_else(|e| panic!("connect {i}: {e}")))
+        .collect();
+    // The server has processed the whole burst once a later connection gets its rejection
+    // line: TCP accept order is FIFO.
+    let (mut probe_raw, greeting) = Raw::connect(addr);
+    assert!(
+        greeting.contains("capacity"),
+        "over capacity, got {greeting:?}"
+    );
+    let burst_elapsed = start.elapsed();
+    assert!(
+        burst_elapsed < Duration::from_secs(5),
+        "the burst stalled accepts for {burst_elapsed:?}"
+    );
+    let mut rest = Vec::new();
+    let _ = probe_raw.reader.read_to_end(&mut rest);
+    drop(probe_raw);
+    drop(burst);
 
-        // Free the slot; the next client is admitted promptly.
-        drop(occupant);
-        let freed = Instant::now();
-        let mut again = loop {
-            match Client::connect(addr) {
-                Ok(client) => break client,
-                Err(_) => {
-                    assert!(
-                        freed.elapsed() < Duration::from_secs(5),
-                        "{}: slot never freed after disconnect",
-                        engine.name()
-                    );
-                    std::thread::sleep(Duration::from_millis(10));
-                }
+    // Free the slot; the next client is admitted promptly.
+    drop(occupant);
+    let freed = Instant::now();
+    let mut again = loop {
+        match Client::connect(addr) {
+            Ok(client) => break client,
+            Err(_) => {
+                assert!(
+                    freed.elapsed() < Duration::from_secs(5),
+                    "slot never freed after disconnect"
+                );
+                std::thread::sleep(Duration::from_millis(10));
             }
-        };
-        let metrics = again.metrics().unwrap();
-        assert!(
-            metric(&metrics, "rejected") >= 9,
-            "{}: 8 burst + 1 probe rejections recorded, got {}",
-            engine.name(),
-            metric(&metrics, "rejected")
-        );
-        drop(again);
-        handle.shutdown();
-    }
+        }
+    };
+    let metrics = again.metrics().unwrap();
+    assert!(
+        metric(&metrics, "rejected") >= 9,
+        "8 burst + 1 probe rejections recorded, got {}",
+        metric(&metrics, "rejected")
+    );
+    drop(again);
+    handle.shutdown();
 }
 
-/// Token-bucket rate limiting on the event engine: `ASK` costs a token, `ANSWER` never does,
+/// Token-bucket rate limiting: `ASK` costs a token, `ANSWER` never does,
 /// an empty bucket sheds with a retryable error, and elapsed time refills it.
 #[test]
 fn rate_limit_sheds_excess_asks_but_answers_always_pass() {
     let handle = spawn(ServerConfig {
-        engine: Engine::Event,
         rate_limit: Some(RateLimit {
             burst: 1,
             per_sec: 5.0,
@@ -303,7 +302,6 @@ fn rate_limit_sheds_excess_asks_but_answers_always_pass() {
 #[test]
 fn saturated_queues_shed_ask_and_eval_but_not_answer_and_quit() {
     let handle = spawn(ServerConfig {
-        engine: Engine::Event,
         shed_queue_depth: 0,
         ..Default::default()
     })
@@ -322,9 +320,9 @@ fn saturated_queues_shed_ask_and_eval_but_not_answer_and_quit() {
     handle.shutdown();
 }
 
-/// Scale smoke: hundreds of idle connections (thousands via `QBE_SOAK_CONNS`) held open on
-/// the event engine cost nothing — a learning session still converges at full speed alongside
-/// them, and closing them all drains the admission count back to zero.
+/// Scale smoke: hundreds of idle connections (thousands via `QBE_SOAK_CONNS`) held open cost
+/// nothing — a learning session still converges at full speed alongside them, and closing
+/// them all drains the admission count back to zero.
 #[test]
 fn idle_connection_soak_leaves_sessions_fast() {
     let conns: usize = std::env::var("QBE_SOAK_CONNS")
@@ -332,7 +330,6 @@ fn idle_connection_soak_leaves_sessions_fast() {
         .and_then(|v| v.parse().ok())
         .unwrap_or(512);
     let handle = spawn(ServerConfig {
-        engine: Engine::Event,
         max_connections: conns + 16,
         ..Default::default()
     })
