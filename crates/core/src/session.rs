@@ -781,7 +781,7 @@ impl InteractiveLearner for JoinInteractive {
         selected_pairs(
             self.session.left(),
             self.session.right(),
-            self.session.current_hypothesis(),
+            &self.session.current_hypothesis(),
         )
         .len()
     }
@@ -936,7 +936,7 @@ mod tests {
         let report = drive("j", &mut learner);
         assert!(report.success);
         assert_eq!(
-            selected_pairs(&left, &right, learner.session().current_hypothesis()),
+            selected_pairs(&left, &right, &learner.session().current_hypothesis()),
             selected_pairs(&left, &right, &goal),
             "learned a semantically different join"
         );

@@ -17,7 +17,7 @@
 //!   remaining hypothesis can accept `u`;
 //! * **informative** otherwise — asking the user about it shrinks the version space.
 
-use crate::join_learn::agreement_set;
+use crate::join_learn::{agreement_set, most_specific_predicate, LabelledPair};
 use crate::model::{Relation, Value};
 use crate::operators::JoinPredicate;
 use qbe_bitset::DenseSet;
@@ -142,45 +142,47 @@ pub enum PairStatus {
     Informative,
 }
 
-/// The dense bitmask engine behind [`InteractiveSession`]: every agreement set is a `u64` mask
+/// The production version space behind [`InteractiveSession`]. Every agreement set is a mask
 /// over the attribute-pair lattice (bit `i·|right schema| + j` = equality of left attribute `i`
-/// with right attribute `j`), and the still-informative region of the cartesian product is a
-/// [`DenseSet`] over pair indices (row-major: `l·|right| + r`) maintained by set difference.
+/// with right attribute `j`) of `words = ⌈|left schema|·|right schema| / 64⌉` `u64`s — one word
+/// up to 64 attribute pairs — and masks are stored row-major in flat arrays, so each
+/// per-candidate check is a word-wise `AND` plus popcount. The still-informative region of the
+/// cartesian product is a [`DenseSet`] over pair indices (row-major: `l·|right| + r`)
+/// maintained by set difference.
 ///
 /// The masks are generated once, by **hash-partitioning** each column pair: right rows are
 /// bucketed by value per column, then each left value looks its matches up instead of comparing
 /// against every right row — `O(columns² · matches)` after hashing, not `O(|L|·|R|·columns²)`
-/// per *round* like the paper-era sweep. Per-candidate agreement checks afterwards are a single
-/// `AND` + popcount.
-///
-/// Only built when the attribute-pair lattice fits a `u64` (≤ 64 pairs — every instance in the
-/// paper's experiments); larger schemas fall back to the per-round sweep, which stays in-tree
-/// as the executable specification either way.
+/// per *round* like the sweep specification ([`InteractiveSession::informative_pairs`]).
 #[derive(Debug)]
 struct PairEngine {
     right_len: usize,
-    /// Agreement mask per pair of the cartesian product, row-major.
+    /// `u64`s per mask.
+    words: usize,
+    /// Agreement mask per pair of the cartesian product, `words` each, row-major.
     masks: Vec<u64>,
-    /// Mask of the current most specific hypothesis (`theta_max`).
-    theta: u64,
-    /// Agreement masks of the labelled negatives.
+    /// Mask of θ_max, the most specific hypothesis consistent with the positive labels.
+    theta: Vec<u64>,
+    /// Agreement masks of the labelled negatives, `words` each.
     negatives: Vec<u64>,
     /// Pairs neither labelled nor yet proven determined — the candidate pool.
     pool: DenseSet<usize>,
 }
 
+/// `a ⊆ b`, word by word.
+fn subset(a: &[u64], b: &[u64]) -> bool {
+    a.iter().zip(b).all(|(x, y)| x & !y == 0)
+}
+
 impl PairEngine {
-    /// Build the engine, or `None` when the attribute-pair lattice does not fit a `u64`.
-    fn build(left: &Relation, right: &Relation) -> Option<PairEngine> {
+    fn build(left: &Relation, right: &Relation) -> PairEngine {
         let la = left.schema().arity();
         let ra = right.schema().arity();
-        let bits = la.checked_mul(ra)?;
-        if bits > 64 {
-            return None;
-        }
+        let bits = la * ra;
+        let words = bits.div_ceil(64).max(1); // a nullary schema still gets one (empty) word
         let nl = left.len();
         let nr = right.len();
-        let mut masks = vec![0u64; nl * nr];
+        let mut masks = vec![0u64; nl * nr * words];
         // Hash-partition: bucket right rows by value, per right column.
         let mut buckets: Vec<HashMap<&Value, Vec<usize>>> = vec![HashMap::new(); ra];
         for (r, rt) in right.tuples().iter().enumerate() {
@@ -189,31 +191,124 @@ impl PairEngine {
             }
         }
         for (l, lt) in left.tuples().iter().enumerate() {
-            let base = l * nr;
+            let base = l * nr * words;
             for i in 0..la {
                 let v = lt.get(i);
                 for (j, bucket) in buckets.iter().enumerate() {
                     if let Some(rows) = bucket.get(v) {
-                        let bit = 1u64 << (i * ra + j);
+                        let bit = i * ra + j;
                         for &r in rows {
-                            masks[base + r] |= bit;
+                            masks[base + r * words + bit / 64] |= 1 << (bit % 64);
                         }
                     }
                 }
             }
         }
-        let theta = if bits == 64 {
-            u64::MAX
-        } else {
-            (1u64 << bits) - 1
-        };
-        Some(PairEngine {
+        let mut theta = vec![0u64; words];
+        for bit in 0..bits {
+            theta[bit / 64] |= 1 << (bit % 64);
+        }
+        PairEngine {
             right_len: nr,
+            words,
             masks,
             theta,
             negatives: Vec::new(),
             pool: DenseSet::full(nl * nr),
-        })
+        }
+    }
+
+    /// Narrow θ_max by a positive label or add a negative, and drop the pair from the pool.
+    fn record(&mut self, p: usize, positive: bool) {
+        let range = p * self.words..(p + 1) * self.words;
+        if positive {
+            for (t, m) in self.theta.iter_mut().zip(&self.masks[range]) {
+                *t &= m;
+            }
+        } else {
+            self.negatives.extend_from_slice(&self.masks[range]);
+        }
+        self.pool.remove(p);
+    }
+
+    /// Whether θ_max still rejects every labelled negative.
+    fn is_consistent(&self) -> bool {
+        self.negatives
+            .chunks_exact(self.words)
+            .all(|neg| !subset(&self.theta, neg))
+    }
+
+    /// The informative pairs (row-major — the model's paper order) with one [`Candidate`]
+    /// feature row each:
+    ///
+    /// * `informativeness` — the lattice-halving score (an agreement overlap closer to half
+    ///   the surviving equalities is better), exactly the paper-era comparator;
+    /// * `specificity` — the agreement-set overlap with the current most specific hypothesis;
+    /// * `cost` — the agreement-set size (the attribute equalities a user checks to answer);
+    /// * `coverage` — the equalities a positive answer would remove from the lattice.
+    ///
+    /// Iterates the incremental pool (ascending pair index = the sweep's row-major order) and
+    /// *removes* newly determined pairs from it — determination under this version space is
+    /// monotone (θ_max only shrinks, the negative list only grows), so a determined pair can
+    /// never become informative again and set-difference maintenance is exact.
+    fn informative_candidates(&mut self) -> (Vec<(usize, usize)>, Vec<Candidate>) {
+        // A constant width lets the compiler drop the word loops in the one-word case, which
+        // covers every schema up to 64 attribute pairs; with a runtime width it is ~15% slower.
+        if self.words == 1 {
+            self.scan::<1>()
+        } else {
+            self.scan::<0>()
+        }
+    }
+
+    /// [`Self::informative_candidates`] over `W` words per mask (`0`: `self.words`).
+    fn scan<const W: usize>(&mut self) -> (Vec<(usize, usize)>, Vec<Candidate>) {
+        let words = if W == 0 { self.words } else { W };
+        let theta = &self.theta[..words];
+        let theta_len: usize = theta.iter().map(|t| t.count_ones() as usize).sum();
+        let target = theta_len / 2;
+        // θ_max minus each negative's agreement. A pair whose agreement misses all of one gap
+        // has its θ_max-restricted agreement inside that negative's: no hypothesis accepts it.
+        let gaps: Vec<u64> = self
+            .negatives
+            .chunks_exact(words)
+            .flat_map(|neg| theta.iter().zip(neg).map(|(t, n)| t & !n))
+            .collect();
+        let mut pairs = Vec::new();
+        let mut features = Vec::new();
+        let mut determined: Vec<usize> = Vec::new();
+        for p in self.pool.iter() {
+            let mask = &self.masks[p * words..(p + 1) * words];
+            if subset(theta, mask) {
+                determined.push(p); // certainly positive: θ_max ⊆ agreement
+                continue;
+            }
+            if gaps
+                .chunks_exact(words)
+                .any(|gap| gap.iter().zip(mask).all(|(g, m)| g & m == 0))
+            {
+                determined.push(p); // certainly negative
+                continue;
+            }
+            let overlap: usize = theta
+                .iter()
+                .zip(mask)
+                .map(|(t, m)| (t & m).count_ones() as usize)
+                .sum();
+            let size: usize = mask.iter().map(|m| m.count_ones() as usize).sum();
+            pairs.push((p / self.right_len, p % self.right_len));
+            features.push(Candidate {
+                informativeness: -(overlap.abs_diff(target) as f64),
+                cost: size as f64,
+                coverage: (theta_len - overlap) as f64,
+                specificity: overlap as f64,
+                prior: 0.0,
+            });
+        }
+        for p in determined {
+            self.pool.remove(p);
+        }
+        (pairs, features)
     }
 }
 
@@ -222,22 +317,23 @@ impl PairEngine {
 /// Generic over how the relations are owned: existing callers pass `&Relation` (zero-copy
 /// borrows), long-lived registries (the `qbe-server` session registry) pass `Arc<Relation>` so
 /// the session is `'static` and can outlive the scope that created it.
+///
+/// Questions come from a bitmask engine over agreement masks of ⌈attribute pairs / 64⌉ words,
+/// at every schema width. The specification — [`current_hypothesis`](Self::current_hypothesis),
+/// [`status`](Self::status) and [`informative_pairs`](Self::informative_pairs) — is recomputed
+/// from the labels alone with the `JoinPredicate` operations of [`crate::join_learn`], so it
+/// shares no state with the engine it checks.
 #[derive(Debug)]
 pub struct InteractiveSession<D: Borrow<Relation>> {
     left: D,
     right: D,
-    /// Most specific hypothesis consistent with the positive labels so far.
-    theta_max: JoinPredicate,
-    /// Agreement sets of the labelled negatives.
-    negative_agreements: Vec<JoinPredicate>,
-    labelled: Vec<((usize, usize), bool)>,
+    /// Every label so far, in the order given.
+    labelled: Vec<LabelledPair>,
     /// The pluggable question-selection policy, consulted once per proposal round.
     strategy: Box<dyn SelectStrategy>,
     /// Question cap, if any: once reached, the session completes.
     budget: Option<usize>,
-    /// The bitmask fast path (`None` only for schemas whose attribute-pair lattice exceeds 64
-    /// pairs, which fall back to the sweep spec).
-    engine: Option<PairEngine>,
+    engine: PairEngine,
 }
 
 /// Result of a completed interactive session.
@@ -270,17 +366,10 @@ impl<D: Borrow<Relation>> InteractiveSession<D> {
     /// strategy is [`Strategy::HalveLattice`], the paper's flagship policy.
     pub fn with_config(left: D, right: D, config: SessionConfig) -> Self {
         let resolved = config.resolve(|seed| Strategy::HalveLattice.strategy(seed));
-        let left_arity = left.borrow().schema().arity();
-        let right_arity = right.borrow().schema().arity();
-        let all_pairs = JoinPredicate::from_pairs(
-            (0..left_arity).flat_map(|i| (0..right_arity).map(move |j| (i, j))),
-        );
         let engine = PairEngine::build(left.borrow(), right.borrow());
         InteractiveSession {
             left,
             right,
-            theta_max: all_pairs,
-            negative_agreements: Vec::new(),
             labelled: Vec::new(),
             strategy: resolved.strategy,
             budget: resolved.budget,
@@ -293,164 +382,71 @@ impl<D: Borrow<Relation>> InteractiveSession<D> {
         self.strategy.name()
     }
 
-    /// The current most specific consistent hypothesis.
-    pub fn current_hypothesis(&self) -> &JoinPredicate {
-        &self.theta_max
+    /// The current most specific consistent hypothesis, recomputed from the labels.
+    pub fn current_hypothesis(&self) -> JoinPredicate {
+        most_specific_predicate(self.left.borrow(), self.right.borrow(), &self.labelled)
+            .expect("record keeps every label inside the cartesian product")
     }
 
-    /// Status of a candidate pair under the current version space.
+    /// Status of a candidate pair under the current version space (the specification).
     pub fn status(&self, left_ix: usize, right_ix: usize) -> PairStatus {
-        if let Some(&(_, positive)) = self
+        self.spec_status()(left_ix, right_ix)
+    }
+
+    /// All currently informative pairs: the from-scratch sweep specification that the
+    /// engine's incremental pool ([`Self::informative_pool`]) is pinned against.
+    pub fn informative_pairs(&self) -> Vec<(usize, usize)> {
+        let status = self.spec_status();
+        let right_len = self.right.borrow().len();
+        (0..self.left.borrow().len())
+            .flat_map(|l| (0..right_len).map(move |r| (l, r)))
+            .filter(|&(l, r)| status(l, r) == PairStatus::Informative)
+            .collect()
+    }
+
+    /// The specification's pair classifier: θ_max and the agreement sets of the labelled
+    /// negatives are recomputed from the labels, then compared as `JoinPredicate`s.
+    fn spec_status(&self) -> impl Fn(usize, usize) -> PairStatus + '_ {
+        let (left, right) = (self.left.borrow(), self.right.borrow());
+        let theta_max = self.current_hypothesis();
+        let negatives: Vec<JoinPredicate> = self
             .labelled
             .iter()
-            .find(|((l, r), _)| *l == left_ix && *r == right_ix)
-        {
-            return PairStatus::Labelled(positive);
-        }
-        let agreement = agreement_set(self.left.borrow(), self.right.borrow(), left_ix, right_ix);
-        if self.theta_max.subset_of(&agreement) {
-            return PairStatus::CertainlyPositive;
-        }
-        let restricted = agreement.intersect(&self.theta_max);
-        let some_hypothesis_accepts = self
-            .negative_agreements
-            .iter()
-            .all(|neg| !restricted.subset_of(neg));
-        if some_hypothesis_accepts {
-            PairStatus::Informative
-        } else {
-            PairStatus::CertainlyNegative
-        }
-    }
-
-    /// All currently informative pairs.
-    pub fn informative_pairs(&self) -> Vec<(usize, usize)> {
-        let mut out = Vec::new();
-        for l in 0..self.left.borrow().len() {
-            for r in 0..self.right.borrow().len() {
-                if self.status(l, r) == PairStatus::Informative {
-                    out.push((l, r));
-                }
+            .filter(|label| !label.positive)
+            .map(|label| agreement_set(left, right, label.left, label.right))
+            .collect();
+        move |l, r| {
+            if let Some(label) = self.labelled.iter().find(|x| (x.left, x.right) == (l, r)) {
+                return PairStatus::Labelled(label.positive);
             }
-        }
-        out
-    }
-
-    /// Record a label (updates the version space).
-    pub fn record(&mut self, left_ix: usize, right_ix: usize, positive: bool) {
-        let agreement = agreement_set(self.left.borrow(), self.right.borrow(), left_ix, right_ix);
-        if positive {
-            self.theta_max = self.theta_max.intersect(&agreement);
-        } else {
-            self.negative_agreements.push(agreement);
-        }
-        if let Some(engine) = &mut self.engine {
-            let pair = left_ix * engine.right_len + right_ix;
-            let mask = engine.masks[pair];
-            if positive {
-                engine.theta &= mask;
+            let agreement = agreement_set(left, right, l, r);
+            if theta_max.subset_of(&agreement) {
+                return PairStatus::CertainlyPositive;
+            }
+            let restricted = agreement.intersect(&theta_max);
+            if negatives.iter().any(|neg| restricted.subset_of(neg)) {
+                PairStatus::CertainlyNegative
             } else {
-                engine.negatives.push(mask);
+                PairStatus::Informative
             }
-            engine.pool.remove(pair);
         }
-        self.labelled.push(((left_ix, right_ix), positive));
+    }
+
+    /// Record a label (updates the version space). Panics if either index is out of range.
+    pub fn record(&mut self, left_ix: usize, right_ix: usize, positive: bool) {
+        let (left_len, right_len) = (self.left.borrow().len(), self.right.borrow().len());
+        assert!(
+            left_ix < left_len && right_ix < right_len,
+            "pair ({left_ix}, {right_ix}) lies outside the {left_len}×{right_len} cartesian product"
+        );
+        self.engine.record(left_ix * right_len + right_ix, positive);
+        self.labelled
+            .push(LabelledPair::new(left_ix, right_ix, positive));
     }
 
     /// Whether the labels recorded so far are still jointly consistent.
     pub fn is_consistent(&self) -> bool {
-        self.negative_agreements
-            .iter()
-            .all(|neg| !self.theta_max.subset_of(neg))
-    }
-
-    /// The informative pairs (row-major — the model's paper order) with one [`Candidate`]
-    /// feature row each, from a *single* agreement-set sweep over the cartesian product (the
-    /// per-pair [`status`](Self::status) path would compute every agreement set twice):
-    ///
-    /// * `informativeness` — the lattice-halving score (an agreement overlap closer to half
-    ///   the surviving equalities is better), exactly the paper-era comparator;
-    /// * `specificity` — the agreement-set overlap with the current most specific hypothesis;
-    /// * `cost` — the agreement-set size (the attribute equalities a user checks to answer);
-    /// * `coverage` — the equalities a positive answer would remove from the lattice.
-    fn informative_candidates(&self) -> (Vec<(usize, usize)>, Vec<Candidate>) {
-        let target = self.theta_max.len() / 2;
-        let mut pairs = Vec::new();
-        let mut features = Vec::new();
-        for l in 0..self.left.borrow().len() {
-            for r in 0..self.right.borrow().len() {
-                if self
-                    .labelled
-                    .iter()
-                    .any(|((pl, pr), _)| (*pl, *pr) == (l, r))
-                {
-                    continue;
-                }
-                let agreement = agreement_set(self.left.borrow(), self.right.borrow(), l, r);
-                if self.theta_max.subset_of(&agreement) {
-                    continue; // certainly positive
-                }
-                let restricted = agreement.intersect(&self.theta_max);
-                if self
-                    .negative_agreements
-                    .iter()
-                    .any(|neg| restricted.subset_of(neg))
-                {
-                    continue; // certainly negative
-                }
-                let overlap = restricted.len();
-                pairs.push((l, r));
-                features.push(Candidate {
-                    informativeness: -(overlap.abs_diff(target) as f64),
-                    cost: agreement.len() as f64,
-                    coverage: (self.theta_max.len() - overlap) as f64,
-                    specificity: overlap as f64,
-                    prior: 0.0,
-                });
-            }
-        }
-        (pairs, features)
-    }
-
-    /// The bitmask fast path of [`Self::informative_candidates`]: iterate the incremental pool
-    /// (ascending pair index = the sweep's row-major order), decide each pair with one
-    /// `AND`+popcount against the `u64` hypothesis mask, and *remove* newly determined pairs
-    /// from the pool — determination under this version space is monotone (the hypothesis mask
-    /// only shrinks, the negative list only grows), so a determined pair can never become
-    /// informative again and set-difference maintenance is exact.
-    fn informative_candidates_bitmask(&mut self) -> (Vec<(usize, usize)>, Vec<Candidate>) {
-        let engine = self.engine.as_mut().expect("caller checked the engine");
-        let theta = engine.theta;
-        let theta_len = theta.count_ones() as usize;
-        let target = theta_len / 2;
-        let mut pairs = Vec::new();
-        let mut features = Vec::new();
-        let mut determined: Vec<usize> = Vec::new();
-        for p in engine.pool.iter() {
-            let mask = engine.masks[p];
-            if theta & !mask == 0 {
-                determined.push(p); // certainly positive: theta ⊆ agreement
-                continue;
-            }
-            let restricted = mask & theta;
-            if engine.negatives.iter().any(|neg| restricted & !neg == 0) {
-                determined.push(p); // certainly negative: restricted ⊆ some negative agreement
-                continue;
-            }
-            let overlap = restricted.count_ones() as usize;
-            pairs.push((p / engine.right_len, p % engine.right_len));
-            features.push(Candidate {
-                informativeness: -(overlap.abs_diff(target) as f64),
-                cost: mask.count_ones() as f64,
-                coverage: (theta_len - overlap) as f64,
-                specificity: overlap as f64,
-                prior: 0.0,
-            });
-        }
-        for p in determined {
-            engine.pool.remove(p);
-        }
-        (pairs, features)
+        self.engine.is_consistent()
     }
 
     /// Propose the next informative pair to ask the user about, or `None` when every pair's
@@ -460,11 +456,7 @@ impl<D: Borrow<Relation>> InteractiveSession<D> {
         if self.budget.is_some_and(|cap| self.labelled.len() >= cap) {
             return None;
         }
-        let (informative, candidates) = if self.engine.is_some() {
-            self.informative_candidates_bitmask()
-        } else {
-            self.informative_candidates()
-        };
+        let (informative, candidates) = self.engine.informative_candidates();
         let view = PoolView {
             asked: self.labelled.len(),
             candidates: &candidates,
@@ -473,21 +465,18 @@ impl<D: Borrow<Relation>> InteractiveSession<D> {
         informative.get(pick).copied()
     }
 
-    /// The incremental candidate pool as `(left, right)` pairs: what the bitmask engine would
-    /// offer the strategy next round, i.e. [`Self::informative_pairs`] plus any pairs whose
+    /// The incremental candidate pool as `(left, right)` pairs: what the engine would offer
+    /// the strategy next round, i.e. [`Self::informative_pairs`] plus any pairs whose
     /// determination the lazy pool maintenance has not observed yet (it prunes during
     /// [`Self::propose`]). Exposed so the differential suites can pin the incremental pool
-    /// against the from-scratch specification round by round. Falls back to the specification
-    /// on schemas without a bitmask engine.
+    /// against the from-scratch specification round by round.
     pub fn informative_pool(&self) -> Vec<(usize, usize)> {
-        match &self.engine {
-            Some(engine) => engine
-                .pool
-                .iter()
-                .map(|p| (p / engine.right_len, p % engine.right_len))
-                .collect(),
-            None => self.informative_pairs(),
-        }
+        let right_len = self.engine.right_len;
+        self.engine
+            .pool
+            .iter()
+            .map(|p| (p / right_len, p % right_len))
+            .collect()
     }
 
     /// The left relation.
@@ -515,7 +504,7 @@ impl<D: Borrow<Relation>> InteractiveSession<D> {
         let interactions = self.labelled.len();
         SessionOutcome {
             consistent: self.is_consistent(),
-            predicate: self.theta_max,
+            predicate: self.current_hypothesis(),
             interactions,
             inferred: total_pairs - interactions,
         }
@@ -558,6 +547,8 @@ mod tests {
     use super::*;
     use crate::generate::{generate_join_instance, JoinInstanceConfig};
     use crate::model::{RelationSchema, Tuple};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn customers() -> Relation {
         Relation::with_tuples(
@@ -647,8 +638,84 @@ mod tests {
         assert!(session.is_consistent());
         assert_eq!(
             session.current_hypothesis(),
-            &JoinPredicate::from_pairs([(0, 1)])
+            JoinPredicate::from_pairs([(0, 1)])
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "lies outside the 3×3 cartesian product")]
+    fn record_rejects_an_out_of_range_pair() {
+        let (c, o) = (customers(), orders());
+        let mut session = InteractiveSession::new(&c, &o, Strategy::Random, 0);
+        // Row-major, (0, |right|) is the index of (1, 0): it must not label that pair.
+        session.record(0, o.len(), true);
+    }
+
+    /// Six tuples a side over a three-value domain, with `left_arity × right_arity` attribute
+    /// pairs.
+    fn wide_instance(left_arity: usize, right_arity: usize) -> (Relation, Relation) {
+        let mut rng = StdRng::seed_from_u64((left_arity * right_arity) as u64);
+        let mut relation = |name: &str, arity: usize| {
+            let attributes: Vec<String> = (0..arity).map(|i| format!("{name}{i}")).collect();
+            let attributes: Vec<&str> = attributes.iter().map(String::as_str).collect();
+            let tuples = (0..6)
+                .map(|_| {
+                    Tuple::new(
+                        (0..arity)
+                            .map(|_| Value::Int(rng.gen_range(0..3)))
+                            .collect(),
+                    )
+                })
+                .collect();
+            Relation::with_tuples(RelationSchema::new(name, &attributes), tuples)
+        };
+        (relation("l", left_arity), relation("r", right_arity))
+    }
+
+    #[test]
+    fn pool_equals_the_spec_on_either_side_of_a_word_boundary() {
+        // 64, 65, 128 and 129 attribute pairs: one word, two words, two full words, three.
+        for (la, ra) in [(1, 64), (1, 65), (2, 64), (3, 43)] {
+            let (left, right) = wide_instance(la, ra);
+            // The goal's one equality is the lattice's last bit, in the last mask word.
+            let goal = JoinPredicate::from_pairs([(la - 1, ra - 1)]);
+            for strategy in [
+                Strategy::Random,
+                Strategy::MostSpecificFirst,
+                Strategy::HalveLattice,
+            ] {
+                let mut session = InteractiveSession::new(&left, &right, strategy, 5);
+                let mut oracle = GoalOracle::new(&left, &right, goal.clone());
+                while let Some((l, r)) = session.propose() {
+                    assert_eq!(
+                        session.informative_pool(),
+                        session.informative_pairs(),
+                        "{la}×{ra} {strategy:?} after {} labels",
+                        session.labelled_count()
+                    );
+                    session.record(l, r, oracle.label(l, r));
+                }
+                assert!(
+                    session.informative_pairs().is_empty(),
+                    "{la}×{ra} {strategy:?}"
+                );
+                assert!(session.is_consistent(), "{la}×{ra} {strategy:?}");
+                assert_eq!(
+                    selected_pairs(&left, &right, &session.current_hypothesis()),
+                    selected_pairs(&left, &right, &goal),
+                    "{la}×{ra} {strategy:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_nullary_schema_has_nothing_to_ask() {
+        let (left, right) = wide_instance(0, 2);
+        let outcome =
+            interactive_learn(&left, &right, &JoinPredicate::empty(), Strategy::Random, 0);
+        assert!(outcome.consistent);
+        assert_eq!((outcome.interactions, outcome.inferred), (0, 36));
     }
 
     #[test]

@@ -158,6 +158,22 @@ impl<'a> Dec<'a> {
         Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
     }
 
+    /// Read a `u32` element count, checked against the bytes left: a count whose elements,
+    /// at `min_encoded_bytes` each, cannot fit in the rest of the payload is corrupt. Use it
+    /// for every count that sizes an allocation, so a crafted count fails here instead.
+    pub fn count(&mut self, min_encoded_bytes: usize) -> Result<usize, StoreError> {
+        let n = self.u32()? as usize;
+        if n.saturating_mul(min_encoded_bytes) > self.remaining() {
+            return Err(StoreError::Corrupt(format!(
+                "count {n} at offset {} needs at least {min_encoded_bytes} bytes per element, \
+                 {} remain",
+                self.pos - 4,
+                self.remaining()
+            )));
+        }
+        Ok(n)
+    }
+
     /// Read a little-endian `u64`.
     pub fn u64(&mut self) -> Result<u64, StoreError> {
         let b = self.take(8)?;
@@ -260,6 +276,24 @@ mod tests {
         let mut d = Dec::new(&bytes);
         assert_eq!(d.u32().unwrap(), 9);
         assert!(matches!(d.finish(), Err(StoreError::Corrupt(_))));
+    }
+
+    #[test]
+    fn counts_the_payload_cannot_hold_are_corrupt() {
+        let mut e = Enc::new();
+        e.u32(3);
+        e.raw(&[0; 12]);
+        let bytes = e.into_bytes();
+        assert_eq!(Dec::new(&bytes).count(4).unwrap(), 3);
+        assert!(matches!(
+            Dec::new(&bytes).count(5),
+            Err(StoreError::Corrupt(_))
+        ));
+        let huge = u32::MAX.to_le_bytes();
+        assert!(matches!(
+            Dec::new(&huge).count(1),
+            Err(StoreError::Corrupt(_))
+        ));
     }
 
     #[test]

@@ -18,7 +18,7 @@ use qbe_bitset::DenseSet;
 use qbe_graph::{GNodeId, GraphIndex, PropValue, PropertyGraph};
 use qbe_relational::{JoinPredicate, Relation, RelationSchema, Tuple, Value};
 use qbe_xml::{NodeId, NodeIndex, XmlTree};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// Section kinds of a corpus snapshot.
 pub mod section {
@@ -128,7 +128,7 @@ impl CorpusSnapshot {
 
         let docs_bytes = reader.read_section(section::DOCS)?;
         let mut d = Dec::new(&docs_bytes);
-        let n = d.u32()? as usize;
+        let n = d.count(4)?; // a tree opens with its node count
         if n != doc_count {
             return Err(StoreError::Corrupt(format!(
                 "meta declares {doc_count} documents, DOCS section holds {n}"
@@ -142,7 +142,7 @@ impl CorpusSnapshot {
 
         let idx_bytes = reader.read_section(section::NODE_INDEXES)?;
         let mut d = Dec::new(&idx_bytes);
-        let n = d.u32()? as usize;
+        let n = d.count(8)?; // an index opens with its node and label counts
         if n != doc_count {
             return Err(StoreError::Corrupt(format!(
                 "meta declares {doc_count} documents, NODE_INDEXES section holds {n}"
@@ -163,7 +163,7 @@ impl CorpusSnapshot {
         let mut d = Dec::new(&rel_bytes);
         let left = dec_relation(&mut d)?;
         let right = dec_relation(&mut d)?;
-        let npairs = d.u32()? as usize;
+        let npairs = d.count(8)?; // two attribute indices per pair
         let mut pairs = Vec::with_capacity(npairs);
         for _ in 0..npairs {
             let l = d.u32()? as usize;
@@ -304,8 +304,8 @@ fn enc_node_index(e: &mut Enc, index: &NodeIndex) {
 }
 
 fn dec_node_index(d: &mut Dec<'_>) -> Result<NodeIndex, StoreError> {
-    let n = d.u32()? as usize;
-    let nlabels = d.u32()? as usize;
+    let n = d.count(16)?; // pre rank, subtree end, depth and parent per node
+    let nlabels = d.count(4 + 8 * n.div_ceil(64))?; // a label and its node bitset
     let mut postings = HashMap::with_capacity(nlabels);
     for _ in 0..nlabels {
         let label = d.str()?;
@@ -449,7 +449,7 @@ fn enc_adjacency_rows(e: &mut Enc, rows: &[&[(u32, DenseSet<GNodeId>)]]) {
 fn dec_adjacency_rows(d: &mut Dec<'_>, n: usize) -> Result<Vec<AdjacencyRow>, StoreError> {
     let mut rows = Vec::with_capacity(n);
     for _ in 0..n {
-        let entries = d.u32()? as usize;
+        let entries = d.count(4 + 8 * n.div_ceil(64))?; // a label id and its bitset
         let mut row = Vec::with_capacity(entries);
         for _ in 0..entries {
             let lid = d.u32()?;
@@ -489,12 +489,12 @@ fn enc_graph_index(e: &mut Enc, index: &GraphIndex) {
 }
 
 fn dec_graph_index(d: &mut Dec<'_>) -> Result<GraphIndex, StoreError> {
-    let nlabels = d.u32()? as usize;
+    let nlabels = d.count(12)?; // a label string and its edge count
     let mut labels = Vec::with_capacity(nlabels);
     for _ in 0..nlabels {
         labels.push(d.str()?);
     }
-    let n = d.u32()? as usize;
+    let n = d.count(8)?; // an out row and an in row per node
     let out_bits = dec_adjacency_rows(d, n)?;
     let in_bits = dec_adjacency_rows(d, n)?;
     for row in out_bits.iter().chain(in_bits.iter()) {
@@ -510,7 +510,7 @@ fn dec_graph_index(d: &mut Dec<'_>) -> Result<GraphIndex, StoreError> {
     for _ in 0..nlabels {
         label_edge_counts.push(d.u64()? as usize);
     }
-    let nsets = d.u32()? as usize;
+    let nsets = d.count(4 + 8 * n.div_ceil(64))?; // a label and its node bitset
     let mut node_label_sets = HashMap::with_capacity(nsets);
     for _ in 0..nsets {
         let label = d.str()?;
@@ -602,14 +602,20 @@ fn enc_relation(e: &mut Enc, relation: &Relation) {
 
 fn dec_relation(d: &mut Dec<'_>) -> Result<Relation, StoreError> {
     let name = d.str()?;
-    let nattrs = d.u32()? as usize;
+    let nattrs = d.count(4)?; // a name string per attribute
     let mut attrs = Vec::with_capacity(nattrs);
     for _ in 0..nattrs {
         attrs.push(d.str()?);
     }
+    if attrs.iter().collect::<HashSet<_>>().len() != attrs.len() {
+        return Err(StoreError::Corrupt(format!(
+            "relation {name:?} repeats an attribute name"
+        )));
+    }
     let attr_refs: Vec<&str> = attrs.iter().map(String::as_str).collect();
     let schema = RelationSchema::new(name, &attr_refs);
-    let ntuples = d.u32()? as usize;
+    // One tag byte per value; a nullary tuple is charged one byte so its count stays bounded.
+    let ntuples = d.count(nattrs.max(1))?;
     let mut tuples = Vec::with_capacity(ntuples);
     for _ in 0..ntuples {
         let mut values = Vec::with_capacity(nattrs);
@@ -625,6 +631,9 @@ fn dec_relation(d: &mut Dec<'_>) -> Result<Relation, StoreError> {
 mod tests {
     use super::*;
     use crate::backend::MemBackend;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn sample() -> CorpusSnapshot {
         let mut doc = XmlTree::new("site");
@@ -766,6 +775,85 @@ mod tests {
             CorpusSnapshot::decode(&reader),
             Err(StoreError::Corrupt(_))
         ));
+    }
+
+    /// `sample()` re-emitted through a fresh writer after `mutate` edits the payload of its
+    /// `section`-th section, so the checksums cover the mutation and the decoder sees it.
+    fn resealed_sample(section: usize, mut mutate: impl FnMut(&mut Vec<u8>)) -> Vec<u8> {
+        let reader = SnapshotReader::open(MemBackend::new(sample().encode())).unwrap();
+        let mut writer = SnapshotWriter::new();
+        for (ix, kind) in reader.kinds().enumerate() {
+            let mut payload = reader.read_section(kind).unwrap();
+            if ix == section {
+                mutate(&mut payload);
+            }
+            writer.section(kind, payload);
+        }
+        writer.finish()
+    }
+
+    fn decode_bytes(bytes: Vec<u8>) -> Result<CorpusSnapshot, StoreError> {
+        CorpusSnapshot::decode(&SnapshotReader::open(MemBackend::new(bytes))?)
+    }
+
+    #[test]
+    fn a_count_overwritten_anywhere_decodes_or_errs() {
+        let reader = SnapshotReader::open(MemBackend::new(sample().encode())).unwrap();
+        let kinds: Vec<u32> = reader.kinds().collect();
+        for (section, kind) in kinds.into_iter().enumerate() {
+            let len = reader.read_section(kind).unwrap().len();
+            for at in 0..len.saturating_sub(3) {
+                let _ = decode_bytes(resealed_sample(section, |payload| {
+                    payload[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes())
+                }));
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Arbitrary bytes, as a file and as one section's payload, and valid snapshots with
+        /// one `u32` overwritten or a few bytes flipped in one section, decode to a corpus or
+        /// an error — never a panic or an abort.
+        #[test]
+        fn decode_survives_arbitrary_and_mutated_snapshots(seed in 0u64..1_000_000) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let garbage: Vec<u8> = (0..rng.gen_range(0..256))
+                .map(|_| rng.gen_range(0..=255))
+                .collect();
+            let _ = decode_bytes(garbage.clone());
+            let section = rng.gen_range(0..8);
+            let _ = decode_bytes(resealed_sample(section, |payload| payload.clone_from(&garbage)));
+
+            let section = rng.gen_range(0..8);
+            let bytes = resealed_sample(section, |payload| {
+                if payload.len() >= 4 && rng.gen_bool(0.5) {
+                    let at = rng.gen_range(0..payload.len() - 3);
+                    let value = if rng.gen_bool(0.5) { u32::MAX } else { rng.gen() };
+                    payload[at..at + 4].copy_from_slice(&value.to_le_bytes());
+                } else {
+                    for _ in 0..rng.gen_range(1..4) {
+                        let at = rng.gen_range(0..payload.len());
+                        payload[at] ^= rng.gen_range(1u8..=255);
+                    }
+                }
+            });
+            let _ = decode_bytes(bytes);
+        }
+    }
+
+    #[test]
+    fn duplicate_attribute_names_are_corrupt() {
+        let mut e = Enc::new();
+        e.str("r");
+        e.u32(2);
+        e.str("a");
+        e.str("a");
+        e.u32(0); // no tuples
+        let bytes = e.into_bytes();
+        let mut d = Dec::new(&bytes);
+        assert!(matches!(dec_relation(&mut d), Err(StoreError::Corrupt(_))));
     }
 
     #[test]

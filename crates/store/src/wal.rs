@@ -117,7 +117,8 @@ impl WalRecord {
                 let session = d.u64()?;
                 let corpus = d.str()?;
                 let model = d.str()?;
-                let n = d.u32()? as usize;
+                // Each param is two strings, each at least a 4-byte length.
+                let n = d.count(8)?;
                 let mut params = Vec::with_capacity(n);
                 for _ in 0..n {
                     let k = d.str()?;
@@ -145,6 +146,15 @@ impl WalRecord {
         d.finish()?;
         Ok(record)
     }
+}
+
+/// One record frame: body length, body, checksum.
+fn frame(body: &[u8]) -> Vec<u8> {
+    let mut frame = Vec::with_capacity(4 + body.len() + 8);
+    frame.extend_from_slice(&(body.len() as u32).to_le_bytes());
+    frame.extend_from_slice(body);
+    frame.extend_from_slice(&fnv1a64(body).to_le_bytes());
+    frame
 }
 
 fn header_bytes() -> [u8; HEADER_LEN as usize] {
@@ -195,11 +205,7 @@ impl WalWriter {
                 "WAL poisoned by an injected torn write; reopen via recover()",
             ));
         }
-        let body = record.encode_body();
-        let mut frame = Vec::with_capacity(4 + body.len() + 8);
-        frame.extend_from_slice(&(body.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&body);
-        frame.extend_from_slice(&fnv1a64(&body).to_le_bytes());
+        let frame = frame(&record.encode_body());
         if let Some(faults) = self.faults.clone() {
             faults.io_error(Self::SITE_WRITE)?;
             if faults.fire(Self::SITE_TORN_WRITE) {
@@ -380,6 +386,9 @@ pub fn recover_with_sync_every(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
     use std::path::PathBuf;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -559,13 +568,78 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    /// A `Start` frame with a valid checksum that declares `u32::MAX` params and holds none.
+    const MAX_PARAMS_FRAME: [u8; 41] = [
+        0x1d, 0x00, 0x00, 0x00, // body length 29
+        0x01, // TYPE_START
+        0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // session 1
+        0x04, 0x00, 0x00, 0x00, b't', b'i', b'n', b'y', // corpus "tiny"
+        0x04, 0x00, 0x00, 0x00, b't', b'w', b'i', b'g', // model "twig"
+        0xff, 0xff, 0xff, 0xff, // params count u32::MAX
+        0x62, 0x96, 0xc1, 0xad, 0x42, 0x60, 0xd5, 0xae, // fnv1a64 of the body
+    ];
+
+    #[test]
+    fn a_params_count_beyond_the_frame_is_corruption_not_an_allocation() {
+        assert_eq!(
+            frame(&MAX_PARAMS_FRAME[4..33]),
+            MAX_PARAMS_FRAME,
+            "checksum is valid"
+        );
+        assert!(matches!(
+            parse_records(&MAX_PARAMS_FRAME),
+            Err(StoreError::Corrupt(_))
+        ));
+        let path = temp_wal("maxparams");
+        let mut bytes = header_bytes().to_vec();
+        bytes.extend_from_slice(&MAX_PARAMS_FRAME);
+        std::fs::write(&path, &bytes).unwrap();
+        assert!(matches!(recover(&path), Err(StoreError::Corrupt(_))));
+        std::fs::remove_file(&path).ok();
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Arbitrary bytes, and valid logs with the `Start` params count overwritten or a few
+        /// bytes flipped, parse to records or an error — never a panic or an abort. Mutated
+        /// frames get fresh checksums, so every mutation reaches the record decoder.
+        #[test]
+        fn parse_records_survives_arbitrary_and_mutated_logs(seed in 0u64..1_000_000) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let garbage: Vec<u8> = (0..rng.gen_range(0..64))
+                .map(|_| rng.gen_range(0..=255))
+                .collect();
+            let _ = parse_records(&garbage);
+
+            let mut bodies: Vec<Vec<u8>> =
+                sample_records().iter().map(WalRecord::encode_body).collect();
+            // The Start body's params count follows its type, session and two 4-byte strings.
+            let count_at = 1 + 8 + (4 + 4) + (4 + 4);
+            prop_assert_eq!(&bodies[0][count_at..count_at + 4], &2u32.to_le_bytes());
+            let count = if rng.gen_bool(0.5) { u32::MAX } else { rng.gen() };
+            bodies[0][count_at..count_at + 4].copy_from_slice(&count.to_le_bytes());
+            let log: Vec<u8> = bodies.iter().flat_map(|body| frame(body)).collect();
+            prop_assert!(
+                count == 2 || matches!(parse_records(&log), Err(StoreError::Corrupt(_))),
+                "params count {} decoded", count
+            );
+
+            let mut bodies: Vec<Vec<u8>> =
+                sample_records().iter().map(WalRecord::encode_body).collect();
+            for _ in 0..rng.gen_range(1..4) {
+                let body = &mut bodies[rng.gen_range(0..4)];
+                let at = rng.gen_range(0..body.len());
+                body[at] ^= rng.gen_range(1u8..=255);
+            }
+            let log: Vec<u8> = bodies.iter().flat_map(|body| frame(body)).collect();
+            let _ = parse_records(&log);
+        }
+    }
+
     #[test]
     fn unknown_record_type_is_corruption() {
-        let body = vec![99u8, 0, 0];
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&(body.len() as u32).to_le_bytes());
-        bytes.extend_from_slice(&body);
-        bytes.extend_from_slice(&fnv1a64(&body).to_le_bytes());
+        let mut bytes = frame(&[99u8, 0, 0]);
         // Append one more valid-looking frame so the bad one is not "the torn tail".
         bytes.extend_from_slice(&[0u8; 16]);
         assert!(matches!(parse_records(&bytes), Err(StoreError::Corrupt(_))));

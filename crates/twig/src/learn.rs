@@ -133,8 +133,9 @@ pub(crate) fn learn_from_positives_shared_with_spine(
 /// once per proposed node) should use [`learn_from_positives_shared`] with prebuilt indexes
 /// and long-lived memos instead.
 pub fn learn_from_positives(examples: &[(&XmlTree, NodeId)]) -> Result<TwigQuery, TwigLearnError> {
+    let spine = generalise_spines(examples)?;
     let mut indexed = IndexedExamples::new(examples);
-    learn_with_evaluator(examples, &mut |q| indexed.selects_all(q))
+    harvest_filters(examples, spine, &mut |q| indexed.selects_all(q))
 }
 
 /// [`learn_from_positives`] over caller-owned per-document state: `examples` name documents by
@@ -152,37 +153,8 @@ pub fn learn_from_positives_shared(
         .iter()
         .map(|&(slot, node)| (&docs[slot], node))
         .collect();
-    let mut by_slot: Vec<Vec<NodeId>> = vec![Vec::new(); docs.len()];
-    for &(slot, node) in examples {
-        by_slot[slot].push(node);
-    }
-    for targets in &mut by_slot {
-        targets.sort_unstable();
-        targets.dedup();
-    }
-    learn_with_evaluator(&refs, &mut |q| {
-        by_slot.iter().enumerate().all(|(slot, targets)| {
-            targets.is_empty() || {
-                let selected = eval_indexed::select_bits_with(
-                    q,
-                    &docs[slot],
-                    &indexes[slot],
-                    &mut caches[slot],
-                );
-                targets.iter().all(|n| selected.contains(*n))
-            }
-        })
-    })
-}
-
-/// Shared body of the twig learners: generalise the spine, then harvest filters, testing each
-/// candidate with `selects_all_positives`.
-fn learn_with_evaluator(
-    examples: &[(&XmlTree, NodeId)],
-    selects_all_positives: &mut dyn FnMut(&TwigQuery) -> bool,
-) -> Result<TwigQuery, TwigLearnError> {
-    let spine = generalise_spines(examples)?;
-    harvest_filters(examples, spine, selects_all_positives)
+    let spine = generalised_spine(&refs)?;
+    learn_from_positives_shared_with_spine(&spine, examples, docs, indexes, caches)
 }
 
 /// The filter-harvesting phase over an already generalised spine.

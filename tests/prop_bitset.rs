@@ -173,15 +173,16 @@ proptest! {
 
     /// Join sessions: the incremental `PairSet` pool equals the from-scratch status sweep
     /// ([`InteractiveSession::informative_pairs`], the `BTreeSet`-predicate specification)
-    /// after every proposal — which simultaneously pins the `u64` agreement masks against the
-    /// `JoinPredicate` agreement sets they encode.
+    /// after every proposal — which simultaneously pins the multi-word agreement masks against
+    /// the `JoinPredicate` agreement sets they encode. Schemas reach 13×13 = 169 attribute
+    /// pairs, three mask words.
     #[test]
     fn join_incremental_pool_equals_from_scratch(seed in 0u64..1_000_000) {
         let mut rng = StdRng::seed_from_u64(seed);
         let (left, right, goal) = generate_join_instance(&JoinInstanceConfig {
             left_rows: rng.gen_range(3usize..9),
             right_rows: rng.gen_range(3usize..9),
-            extra_attributes: rng.gen_range(0usize..3),
+            extra_attributes: rng.gen_range(0usize..13),
             domain_size: rng.gen_range(2usize..5),
             seed,
         });

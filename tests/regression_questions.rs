@@ -173,28 +173,55 @@ fn generic_strategy_question_counts_are_pinned() {
     }
 }
 
+/// 3×3, 9×9 and 13×13 attribute pairs: one, two and three agreement-mask words. The wide
+/// counts were recorded from the `JoinPredicate` sweep specification, which served schemas
+/// above 64 attribute pairs before the bitmask engine covered every width.
 #[test]
 fn join_session_question_counts_are_pinned() {
-    let (left, right, goal) = generate_join_instance(&JoinInstanceConfig {
-        left_rows: 20,
-        right_rows: 20,
-        extra_attributes: 2,
-        domain_size: 6,
-        seed: 1,
-    });
-    let cases: [(Strategy, usize); 3] = [
-        (Strategy::Random, 6),
-        (Strategy::MostSpecificFirst, 4),
-        (Strategy::HalveLattice, 5),
+    let cases: [(usize, [(Strategy, usize); 3]); 3] = [
+        (
+            2,
+            [
+                (Strategy::Random, 6),
+                (Strategy::MostSpecificFirst, 4),
+                (Strategy::HalveLattice, 5),
+            ],
+        ),
+        (
+            8,
+            [
+                (Strategy::Random, 14),
+                (Strategy::MostSpecificFirst, 52),
+                (Strategy::HalveLattice, 32),
+            ],
+        ),
+        (
+            12,
+            [
+                (Strategy::Random, 63),
+                (Strategy::MostSpecificFirst, 22),
+                (Strategy::HalveLattice, 20),
+            ],
+        ),
     ];
-    for (strategy, expected) in cases {
-        let outcome = interactive_learn(&left, &right, &goal, strategy, 1);
-        assert!(outcome.consistent, "{strategy:?}");
-        assert_eq!(
-            outcome.interactions, expected,
-            "join learning with {strategy:?} changed its question count"
-        );
-        assert_eq!(outcome.interactions + outcome.inferred, 400);
+    for (extra_attributes, pins) in cases {
+        let (left, right, goal) = generate_join_instance(&JoinInstanceConfig {
+            left_rows: 20,
+            right_rows: 20,
+            extra_attributes,
+            domain_size: 6,
+            seed: 1,
+        });
+        for (strategy, expected) in pins {
+            let outcome = interactive_learn(&left, &right, &goal, strategy, 1);
+            assert!(outcome.consistent, "{extra_attributes} {strategy:?}");
+            assert_eq!(
+                outcome.interactions, expected,
+                "join learning with {strategy:?} and {extra_attributes} extra attributes \
+                 changed its question count"
+            );
+            assert_eq!(outcome.interactions + outcome.inferred, 400);
+        }
     }
 }
 
