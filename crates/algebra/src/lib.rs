@@ -17,8 +17,6 @@
 //!   the memoising [`EvalCache`] that turns hash-consing into cross-candidate
 //!   common-subexpression elimination, and the backtracking conjunction join with lazy atom
 //!   evaluation and a satisfiability early-exit.
-//! * [`word`] — Thompson-NFA word membership ([`WordMatcher`]) for the forward fragment, used
-//!   by sessions that classify concrete paths rather than node pairs.
 //!
 //! Because expressions are hash-consed, structural equality is pointer equality ([`ExprId`]),
 //! and a candidate pool sharing one [`EvalCache`] evaluates each distinct subquery once per
@@ -30,9 +28,7 @@
 pub mod conj;
 pub mod eval;
 pub mod ir;
-pub mod word;
 
 pub use conj::{plan_join_order, CardinalityEstimator, ConjQuery, PathAtom, Term};
 pub use eval::{eval_conj, eval_expr, Adjacency, EvalCache, Rel};
 pub use ir::{Expr, ExprId, QueryStore, Sym, SymbolTable};
-pub use word::WordMatcher;

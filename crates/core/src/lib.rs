@@ -1,24 +1,22 @@
-//! # qbe-core — the cross-model query-learning framework
+//! # qbe-core — one interactive protocol over every data model
 //!
 //! This crate is the umbrella of the `qbe` workspace, a reproduction of *"Learning Queries for
 //! Relational, Semi-structured, and Graph Databases"* (Ciucanu, SIGMOD/PODS 2013 PhD Symposium).
-//! It ties the three model-specific learners together under one vocabulary and re-exports the
-//! substrates so that applications (the runnable examples, the cross-model exchange scenarios,
-//! the benchmarks) can depend on a single crate.
+//! The paper's protocol is the same loop for every data model — propose an item, let the user
+//! label it, prune what became uninformative — and this crate states that loop once and
+//! re-exports the substrates, so that applications (the runnable examples, the server, the
+//! benchmarks) can depend on a single crate.
 //!
-//! * [`framework`] — the [`Hypothesis`]/[`Learner`] traits and the adapters binding them to twig
-//!   queries, join predicates and path queries;
-//! * [`oracle`] — oracles (simulated users) and a generic interactive driver that minimises the
-//!   number of questions by skipping determined items;
-//! * [`metrics`] — confusion-matrix quality metrics shared by all experiments;
-//! * [`session`] — the *interactive* counterpart of [`framework`]: the object-safe
-//!   [`InteractiveLearner`] trait plus owned adapters for twig/path/join sessions, so a
-//!   registry (the `qbe-server` network service, the workload driver) can hold heterogeneous
-//!   sessions as homogeneous boxed trait objects;
+//! * [`session`] — the object-safe [`InteractiveLearner`] trait, the one driving loop
+//!   [`drive`], and owned adapters for twig/path/join/graph-query sessions, so a registry (the
+//!   `qbe-server` network service, the workload driver) can hold heterogeneous sessions as
+//!   homogeneous boxed trait objects;
 //! * [`workload`] — the concurrent multi-session driver: a [`SessionPool`] runs many
 //!   interactive sessions over `std::thread` against shared immutable indexes, scheduled
 //!   shortest-expected-work first, and aggregates throughput/percentile metrics (overall and
 //!   per question-selection strategy);
+//! * [`noise`] — the noisy user: the seeded k-vote [`MajorityVote`] and the exact binomial
+//!   bounds that choose `k` ([`votes_for_session`], [`NoisyPacPlan`]);
 //! * [`strategy`] — re-export of `qbe-strategy`: the model-agnostic, object-safe
 //!   [`Strategy`] trait every interactive session consults to pick its next question, the
 //!   [`SessionConfig`] builder (strategy, question budget, seed) accepted everywhere a
@@ -45,23 +43,13 @@
 
 #![warn(missing_docs)]
 
-pub mod framework;
-pub mod metrics;
 pub mod noise;
-pub mod oracle;
 pub mod session;
 pub mod workload;
 
-pub use framework::{
-    compare_hypotheses, BoundJoinQuery, BoundPathQuery, BoundTwigQuery, Hypothesis, JoinLearner,
-    Learner, PairItem, PathItem, PathLearner, TwigLearner, XmlItem,
-};
-pub use metrics::ConfusionMatrix;
 pub use noise::{
-    majority_error_bound, majority_votes_needed, votes_for_session, MajorityOracle, NoisyOracle,
-    NoisyPacPlan,
+    majority_error_bound, majority_votes_needed, votes_for_session, MajorityVote, NoisyPacPlan,
 };
-pub use oracle::{run_interactive, GoalOracle, InteractiveOutcome, Oracle};
 pub use session::{
     drive, GraphQueryInteractive, InteractiveLearner, JoinInteractive, PathInteractive, Question,
     SessionError, TwigInteractive,

@@ -1,14 +1,13 @@
-//! Noisy-oracle learning: seeded answer flips, majority re-asking, and
-//! PAC-style convergence bounds.
+//! Noisy-oracle learning: the seeded k-vote majority user, and PAC-style
+//! convergence bounds.
 //!
 //! The paper's user answers every membership question correctly. This module
-//! opens the unreliable-world variant: a [`NoisyOracle`] flips each answer
-//! with probability `p` (deterministically, from a seed), and a
-//! [`MajorityOracle`] recovers the true label by re-asking the same question
-//! `k` times and taking the majority — the classic noise-tolerance reduction
-//! for random classification noise (Angluin–Laird). Both wrap any
-//! [`Oracle`], so they compose with [`run_interactive`](crate::run_interactive)
-//! and every goal-driven session unchanged.
+//! opens the unreliable-world variant: a user whose every answer is flipped
+//! with probability `p`, and a [`MajorityVote`] that recovers the true label by
+//! casting `k` such noisy votes per question and committing the majority — the
+//! classic noise-tolerance reduction for random classification noise
+//! (Angluin–Laird). The vote stream is seeded, so a noisy session is as
+//! reproducible as a clean one.
 //!
 //! The bound side is exact rather than Chernoff-loose: [`majority_error_bound`]
 //! evaluates the binomial tail `P[Bin(k, p) > k/2]` directly, and
@@ -19,99 +18,60 @@
 //! many questions, re-ask each this many times, and the session converges to
 //! an ε-good hypothesis with probability ≥ 1 − δ despite the noise*.
 //!
-//! For protocol-level sessions (`qbe-server`), the same vote arithmetic runs
-//! client-side: the resilient client re-ASKs the pending question (the server
-//! repeats it verbatim until answered) and commits the majority answer, so a
-//! `k`-vote consumes `k` protocol round-trips but only **one** unit of the
-//! session's question budget.
+//! For protocol-level sessions (`qbe-server`), the votes are cast client-side:
+//! the resilient client lets a [`MajorityVote`] turn the goal's true label into
+//! the committed answer and sends that one `ANSWER` — so a `k`-vote costs
+//! **one** unit of the session's question budget.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::oracle::Oracle;
-
-/// An oracle whose answers are flipped with probability `p`, from a seeded
-/// stream. Wraps any inner oracle; `questions()` is delegated, so budget
-/// accounting is unchanged by the noise.
+/// A noisy user answering through a `k`-vote majority: each vote reports the truth flipped
+/// with probability `p`, drawn from a stream seeded by `seed`, and the majority of the `k`
+/// votes is the answer.
+///
+/// `k` is rounded up to an odd number ≥ 1, so votes never tie; `k = 1` is the raw noisy user.
 #[derive(Debug, Clone)]
-pub struct NoisyOracle<O> {
-    inner: O,
+pub struct MajorityVote {
     p: f64,
+    k: usize,
     rng: StdRng,
+    votes: u64,
     flips: u64,
 }
 
-impl<O> NoisyOracle<O> {
-    /// Wraps `inner`; each answer is flipped with probability `p ∈ [0, 1]`
-    /// drawn from a stream seeded by `seed`.
+impl MajorityVote {
+    /// A `k`-vote majority over votes flipped with probability `p`, seeded by `seed`.
     ///
     /// # Panics
     ///
-    /// Panics when `p` is outside `[0, 1]` or not finite.
-    pub fn new(inner: O, p: f64, seed: u64) -> NoisyOracle<O> {
+    /// Panics when `p` is outside `[0, 1/2)` (at or beyond 1/2 the majority carries no
+    /// signal) or not finite.
+    pub fn new(p: f64, k: usize, seed: u64) -> MajorityVote {
         assert!(
-            p.is_finite() && (0.0..=1.0).contains(&p),
-            "flip probability must be in [0, 1], got {p}"
+            p.is_finite() && (0.0..0.5).contains(&p),
+            "majority voting needs flip probability in [0, 1/2), got {p}"
         );
-        NoisyOracle {
-            inner,
+        MajorityVote {
             p,
+            k: k.max(1) | 1,
             rng: StdRng::seed_from_u64(seed),
+            votes: 0,
             flips: 0,
         }
     }
 
-    /// Answers flipped so far.
-    pub fn flips(&self) -> u64 {
-        self.flips
-    }
-
-    /// The wrapped oracle.
-    pub fn inner(&self) -> &O {
-        &self.inner
-    }
-}
-
-impl<Item, O: Oracle<Item>> Oracle<Item> for NoisyOracle<O> {
-    fn label(&mut self, item: &Item) -> bool {
-        let truth = self.inner.label(item);
-        if self.p > 0.0 && self.rng.gen_bool(self.p) {
-            self.flips += 1;
-            !truth
-        } else {
-            truth
+    /// The majority of `k` noisy votes on a question whose true label is `truth`. Each vote
+    /// draws one Bernoulli(`p`) flip from the stream when `p > 0`, and nothing when `p = 0`.
+    pub fn answer(&mut self, truth: bool) -> bool {
+        let mut yes = 0usize;
+        for _ in 0..self.k {
+            let flipped = self.p > 0.0 && self.rng.gen_bool(self.p);
+            self.flips += u64::from(flipped);
+            yes += usize::from(truth != flipped);
         }
-    }
-
-    fn questions(&self) -> usize {
-        self.inner.questions()
-    }
-}
-
-/// A meta-oracle that answers each question by asking the wrapped (noisy)
-/// oracle `k` times and returning the majority vote.
-///
-/// `k` is forced odd (rounded up) so votes never tie. Budget accounting is
-/// honest: `questions()` delegates to the inner oracle, which counts every
-/// individual vote — so a majority session over a question budget spends it
-/// `k` times faster, and [`reasks`](Self::reasks) reports the overhead
-/// (`(k−1)` extra asks per question).
-#[derive(Debug, Clone)]
-pub struct MajorityOracle<O> {
-    inner: O,
-    k: usize,
-    reasks: u64,
-}
-
-impl<O> MajorityOracle<O> {
-    /// Wraps `inner` with `k`-vote majority (k rounded up to an odd ≥ 1).
-    pub fn new(inner: O, k: usize) -> MajorityOracle<O> {
-        let k = k.max(1);
-        MajorityOracle {
-            inner,
-            k: if k.is_multiple_of(2) { k + 1 } else { k },
-            reasks: 0,
-        }
+        self.votes += self.k as u64;
+        2 * yes > self.k
     }
 
     /// The (odd) number of votes per question.
@@ -119,31 +79,14 @@ impl<O> MajorityOracle<O> {
         self.k
     }
 
-    /// Extra asks beyond one per question, so far.
-    pub fn reasks(&self) -> u64 {
-        self.reasks
+    /// Votes cast so far (`k` per answered question).
+    pub fn votes(&self) -> u64 {
+        self.votes
     }
 
-    /// The wrapped oracle.
-    pub fn inner(&self) -> &O {
-        &self.inner
-    }
-}
-
-impl<Item, O: Oracle<Item>> Oracle<Item> for MajorityOracle<O> {
-    fn label(&mut self, item: &Item) -> bool {
-        let mut positives = 0usize;
-        for _ in 0..self.k {
-            if self.inner.label(item) {
-                positives += 1;
-            }
-        }
-        self.reasks += (self.k - 1) as u64;
-        2 * positives > self.k
-    }
-
-    fn questions(&self) -> usize {
-        self.inner.questions()
+    /// Votes the noise flipped away from the truth so far.
+    pub fn flips(&self) -> u64 {
+        self.flips
     }
 }
 
@@ -252,46 +195,24 @@ impl NoisyPacPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::framework::{BoundPathQuery, Hypothesis, PathItem, PathLearner};
-    use crate::oracle::{run_interactive, GoalOracle};
-
-    fn item(word: &[&str]) -> PathItem {
-        PathItem {
-            word: word.iter().map(|s| s.to_string()).collect(),
-        }
-    }
-
-    fn goal() -> BoundPathQuery {
-        let q = qbe_graph::learn_path_query(&[
-            vec!["highway".to_string()],
-            vec!["highway".to_string(), "highway".to_string()],
-        ])
-        .unwrap();
-        BoundPathQuery { query: q }
-    }
-
-    struct Truth;
-    impl Oracle<bool> for Truth {
-        fn label(&mut self, item: &bool) -> bool {
-            *item
-        }
-        fn questions(&self) -> usize {
-            0
-        }
-    }
+    use crate::session::{drive, InteractiveLearner, PathInteractive};
+    use qbe_graph::{generate_geo_graph, GeoConfig, PathConstraint, PathStrategy};
+    use std::sync::Arc;
 
     #[test]
     fn noisy_oracle_flips_at_the_configured_rate_deterministically() {
-        let mut a = NoisyOracle::new(Truth, 0.2, 99);
-        let mut b = NoisyOracle::new(Truth, 0.2, 99);
-        let seq_a: Vec<bool> = (0..1000).map(|_| a.label(&true)).collect();
-        let seq_b: Vec<bool> = (0..1000).map(|_| b.label(&true)).collect();
+        // One vote per question is the raw noisy user.
+        let mut a = MajorityVote::new(0.2, 1, 99);
+        let mut b = MajorityVote::new(0.2, 1, 99);
+        let seq_a: Vec<bool> = (0..1000).map(|_| a.answer(true)).collect();
+        let seq_b: Vec<bool> = (0..1000).map(|_| b.answer(true)).collect();
         assert_eq!(seq_a, seq_b, "same seed, same flips");
+        assert_eq!(seq_a.iter().filter(|&&yes| !yes).count() as u64, a.flips());
         let rate = a.flips() as f64 / 1000.0;
         assert!((rate - 0.2).abs() < 0.05, "observed flip rate {rate}");
 
-        let mut clean = NoisyOracle::new(Truth, 0.0, 99);
-        assert!((0..100).all(|_| clean.label(&true)));
+        let mut clean = MajorityVote::new(0.0, 1, 99);
+        assert!((0..100).all(|_| clean.answer(true)));
         assert_eq!(clean.flips(), 0);
     }
 
@@ -299,21 +220,20 @@ mod tests {
     fn majority_vote_recovers_the_truth_that_raw_noise_destroys() {
         // k chosen from the exact bound: 1000 questions all correct w.p. ≥ 0.999.
         let k = votes_for_session(0.2, 0.001, 1000);
-        let mut majority = MajorityOracle::new(NoisyOracle::new(Truth, 0.2, 5), k);
-        assert!((0..500).all(|_| majority.label(&true)));
-        assert!((0..500).all(|_| !majority.label(&false)));
-        assert_eq!(majority.reasks(), 1000 * (k as u64 - 1));
+        let mut majority = MajorityVote::new(0.2, k, 5);
+        assert!((0..500).all(|_| majority.answer(true)));
+        assert!((0..500).all(|_| !majority.answer(false)));
+        assert_eq!(majority.votes(), 1000 * k as u64);
 
-        // The raw noisy oracle at the same seed gets some of these wrong.
-        let mut raw = NoisyOracle::new(Truth, 0.2, 5);
-        assert!((0..500).any(|_| !raw.label(&true)));
+        // The raw noisy user at the same seed gets some of these wrong.
+        let mut raw = MajorityVote::new(0.2, 1, 5);
+        assert!((0..500).any(|_| !raw.answer(true)));
     }
 
     #[test]
     fn even_k_is_rounded_up_to_odd() {
-        let majority = MajorityOracle::new(Truth, 4);
-        assert_eq!(majority.k(), 5);
-        assert_eq!(MajorityOracle::new(Truth, 0).k(), 1);
+        assert_eq!(MajorityVote::new(0.0, 4, 0).k(), 5);
+        assert_eq!(MajorityVote::new(0.0, 0, 0).k(), 1);
     }
 
     #[test]
@@ -357,27 +277,37 @@ mod tests {
 
     #[test]
     fn interactive_session_under_majority_voting_matches_the_clean_run() {
-        let pool = vec![
-            item(&["highway"]),
-            item(&["highway", "highway"]),
-            item(&["highway", "highway", "highway"]),
-            item(&["local"]),
-            item(&["highway", "local"]),
-            item(&["local", "highway"]),
-        ];
-        let learner = PathLearner;
-        let clean = run_interactive(&learner, &pool, &mut GoalOracle::new(goal()));
-        let clean_hyp = clean.hypothesis.expect("clean labels are consistent");
+        let graph = Arc::new(generate_geo_graph(&GeoConfig {
+            cities: 12,
+            connectivity: 3,
+            ..Default::default()
+        }));
+        let from = graph.find_node_by_property("name", "city0").unwrap();
+        let to = graph.find_node_by_property("name", "city5").unwrap();
+        let goal = PathConstraint {
+            road_type: Some("highway".to_string()),
+            max_distance: None,
+            via: None,
+        };
+        let session = || {
+            PathInteractive::new(graph.clone(), from, to, 6, PathStrategy::Halving, 5)
+                .with_goal(goal.clone())
+        };
+        let mut clean = session();
+        let clean_report = drive("clean", &mut clean);
 
-        let k = votes_for_session(0.2, 0.01, pool.len());
-        let mut voted = MajorityOracle::new(NoisyOracle::new(GoalOracle::new(goal()), 0.2, 13), k);
-        let noisy = run_interactive(&learner, &pool, &mut voted);
-        let noisy_hyp = noisy.hypothesis.expect("majority answers stay consistent");
-        for p in &pool {
-            assert_eq!(noisy_hyp.selects(p), clean_hyp.selects(p));
+        let k = votes_for_session(0.2, 0.01, clean.session().candidate_count());
+        let mut vote = MajorityVote::new(0.2, k, 13);
+        let mut noisy = session();
+        while noisy.propose_pending() {
+            let truth = noisy.oracle_answer().unwrap();
+            noisy.answer(vote.answer(truth)).unwrap();
         }
+        assert!(vote.flips() > 0, "the votes were noisy");
+        assert_eq!(noisy.hypothesis(), clean.hypothesis());
         assert_eq!(
-            noisy.interactions, clean.interactions,
+            noisy.questions(),
+            clean_report.questions,
             "same questions asked"
         );
     }

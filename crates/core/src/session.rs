@@ -1,15 +1,15 @@
-//! One vocabulary for *interactive* learning sessions across the three data models.
+//! One vocabulary for *interactive* learning sessions across the data models.
 //!
-//! [`crate::framework`] unifies the paper's **batch** learners (labelled items in, hypothesis
-//! out); this module unifies the **interactive** ones. An [`InteractiveLearner`] is an
-//! object-safe, owned (`'static`), `Send` session: it proposes membership [`Question`]s one at
-//! a time, absorbs yes/no answers, and can always render its current hypothesis and the size
-//! of that hypothesis's answer set. Homogeneous `Box<dyn InteractiveLearner>`s are what make a
+//! The paper's protocol is one loop for every model: propose an item, let the user label it,
+//! prune what became uninformative. An [`InteractiveLearner`] is that loop as an object-safe,
+//! owned (`'static`), `Send` session: it proposes membership [`Question`]s one at a time,
+//! absorbs yes/no answers, and can always render its current hypothesis and the size of that
+//! hypothesis's answer set. Homogeneous `Box<dyn InteractiveLearner>`s are what make a
 //! multi-tenant session registry possible — the `qbe-server` wire protocol and the
 //! [`SessionPool`](crate::workload::SessionPool) workload driver both speak this trait instead
 //! of duplicating one driving loop per model.
 //!
-//! Three adapters wrap the concrete sessions:
+//! Four adapters wrap the concrete sessions:
 //!
 //! * [`TwigInteractive`] — node labelling over shared XML documents
 //!   ([`qbe_twig::TwigSession`]);
@@ -184,6 +184,43 @@ pub fn drive(label: impl Into<String>, learner: &mut dyn InteractiveLearner) -> 
     }
 }
 
+/// The ask/answer state every adapter shares: the item the pending question asks about, and
+/// whether the session has completed. Asking again without answering yields the same item;
+/// once the wrapped session proposes nothing, the state stays finished.
+struct Pending<T> {
+    item: Option<T>,
+    finished: bool,
+}
+
+impl<T: Copy> Pending<T> {
+    fn new() -> Pending<T> {
+        Pending {
+            item: None,
+            finished: false,
+        }
+    }
+
+    /// The pending item, taking a fresh one from `propose` when none is pending; `None` once
+    /// the session has completed.
+    fn get_or_propose(&mut self, propose: impl FnOnce() -> Option<T>) -> Option<T> {
+        if !self.finished && self.item.is_none() {
+            self.item = propose();
+            self.finished = self.item.is_none();
+        }
+        self.item
+    }
+
+    /// The pending item, without consuming it.
+    fn peek(&self) -> Result<T, SessionError> {
+        self.item.ok_or(SessionError::NoPendingQuestion)
+    }
+
+    /// Consume the pending item to record its answer.
+    fn take(&mut self) -> Result<T, SessionError> {
+        self.item.take().ok_or(SessionError::NoPendingQuestion)
+    }
+}
+
 // ---------------------------------------------------------------------------------------------
 // Twig adapter
 // ---------------------------------------------------------------------------------------------
@@ -196,8 +233,7 @@ pub struct TwigInteractive {
     /// Goal answer sets, computed lazily per document (same trick as `GoalNodeOracle`); the
     /// `RefCell` keeps [`InteractiveLearner::oracle_answer`] a `&self` query.
     goal_answers: std::cell::RefCell<Vec<Option<BTreeSet<NodeId>>>>,
-    pending: Option<(usize, NodeId)>,
-    finished: bool,
+    pending: Pending<(usize, NodeId)>,
 }
 
 impl TwigInteractive {
@@ -231,8 +267,7 @@ impl TwigInteractive {
             docs,
             goal: None,
             goal_answers,
-            pending: None,
-            finished: false,
+            pending: Pending::new(),
         }
     }
 
@@ -246,26 +281,6 @@ impl TwigInteractive {
     pub fn session(&self) -> &TwigSession {
         &self.session
     }
-
-    /// Advance the pending-question state machine without rendering anything.
-    fn ensure_pending(&mut self) -> Option<(usize, NodeId)> {
-        if self.finished {
-            return None;
-        }
-        match self.pending {
-            Some(p) => Some(p),
-            None => match self.session.propose() {
-                Some(p) => {
-                    self.pending = Some(p);
-                    Some(p)
-                }
-                None => {
-                    self.finished = true;
-                    None
-                }
-            },
-        }
-    }
 }
 
 impl InteractiveLearner for TwigInteractive {
@@ -278,7 +293,7 @@ impl InteractiveLearner for TwigInteractive {
     }
 
     fn propose(&mut self) -> Option<Question> {
-        let (doc, node) = self.ensure_pending()?;
+        let (doc, node) = self.pending.get_or_propose(|| self.session.propose())?;
         let label = self.docs[doc].label(node);
         Some(Question {
             fields: vec![
@@ -298,17 +313,19 @@ impl InteractiveLearner for TwigInteractive {
     }
 
     fn propose_pending(&mut self) -> bool {
-        self.ensure_pending().is_some()
+        self.pending
+            .get_or_propose(|| self.session.propose())
+            .is_some()
     }
 
     fn answer(&mut self, positive: bool) -> Result<(), SessionError> {
-        let (doc, node) = self.pending.take().ok_or(SessionError::NoPendingQuestion)?;
+        let (doc, node) = self.pending.take()?;
         self.session.record(doc, node, positive);
         Ok(())
     }
 
     fn oracle_answer(&self) -> Result<bool, SessionError> {
-        let (doc, node) = self.pending.ok_or(SessionError::NoPendingQuestion)?;
+        let (doc, node) = self.pending.peek()?;
         let goal = self.goal.as_ref().ok_or(SessionError::NoGoal)?;
         let mut answers = self.goal_answers.borrow_mut();
         let set = answers[doc].get_or_insert_with(|| eval::select(goal, &self.docs[doc]));
@@ -336,7 +353,7 @@ impl InteractiveLearner for TwigInteractive {
     }
 
     fn done(&self) -> bool {
-        self.finished
+        self.pending.finished
     }
 }
 
@@ -349,8 +366,7 @@ impl InteractiveLearner for TwigInteractive {
 pub struct PathInteractive {
     session: PathSession<Arc<PropertyGraph>>,
     goal: Option<PathConstraint>,
-    pending: Option<usize>,
-    finished: bool,
+    pending: Pending<usize>,
 }
 
 impl PathInteractive {
@@ -386,8 +402,7 @@ impl PathInteractive {
         PathInteractive {
             session: PathSession::with_config(graph, from, to, max_edges, config),
             goal: None,
-            pending: None,
-            finished: false,
+            pending: Pending::new(),
         }
     }
 
@@ -407,26 +422,6 @@ impl PathInteractive {
     pub fn session(&self) -> &PathSession<Arc<PropertyGraph>> {
         &self.session
     }
-
-    /// Advance the pending-question state machine without rendering anything.
-    fn ensure_pending(&mut self) -> Option<usize> {
-        if self.finished {
-            return None;
-        }
-        match self.pending {
-            Some(ix) => Some(ix),
-            None => match self.session.propose() {
-                Some(ix) => {
-                    self.pending = Some(ix);
-                    Some(ix)
-                }
-                None => {
-                    self.finished = true;
-                    None
-                }
-            },
-        }
-    }
 }
 
 impl InteractiveLearner for PathInteractive {
@@ -439,7 +434,7 @@ impl InteractiveLearner for PathInteractive {
     }
 
     fn propose(&mut self) -> Option<Question> {
-        let ix = self.ensure_pending()?;
+        let ix = self.pending.get_or_propose(|| self.session.propose())?;
         let graph = self.session.graph();
         let features = self.session.features(ix);
         let word = self.session.path(ix).word(graph).join(",");
@@ -466,17 +461,19 @@ impl InteractiveLearner for PathInteractive {
     }
 
     fn propose_pending(&mut self) -> bool {
-        self.ensure_pending().is_some()
+        self.pending
+            .get_or_propose(|| self.session.propose())
+            .is_some()
     }
 
     fn answer(&mut self, positive: bool) -> Result<(), SessionError> {
-        let ix = self.pending.take().ok_or(SessionError::NoPendingQuestion)?;
+        let ix = self.pending.take()?;
         self.session.record(ix, positive);
         Ok(())
     }
 
     fn oracle_answer(&self) -> Result<bool, SessionError> {
-        let ix = self.pending.ok_or(SessionError::NoPendingQuestion)?;
+        let ix = self.pending.peek()?;
         let goal = self.goal.as_ref().ok_or(SessionError::NoGoal)?;
         Ok(goal.accepts_features(self.session.features(ix)))
     }
@@ -504,7 +501,7 @@ impl InteractiveLearner for PathInteractive {
     }
 
     fn done(&self) -> bool {
-        self.finished
+        self.pending.finished
     }
 }
 
@@ -519,8 +516,7 @@ pub struct GraphQueryInteractive {
     session: QuerySession<Arc<PropertyGraph>>,
     /// The hidden goal query's answer set, when a simulated user is embedded.
     goal: Option<BTreeSet<(GNodeId, GNodeId)>>,
-    pending: Option<usize>,
-    finished: bool,
+    pending: Pending<usize>,
 }
 
 impl GraphQueryInteractive {
@@ -540,8 +536,7 @@ impl GraphQueryInteractive {
         GraphQueryInteractive {
             session: QuerySession::with_config(graph, class, config),
             goal: None,
-            pending: None,
-            finished: false,
+            pending: Pending::new(),
         }
     }
 
@@ -555,26 +550,6 @@ impl GraphQueryInteractive {
     pub fn session(&self) -> &QuerySession<Arc<PropertyGraph>> {
         &self.session
     }
-
-    /// Advance the pending-question state machine without rendering anything.
-    fn ensure_pending(&mut self) -> Option<usize> {
-        if self.finished {
-            return None;
-        }
-        match self.pending {
-            Some(q) => Some(q),
-            None => match self.session.propose() {
-                Some(q) => {
-                    self.pending = Some(q);
-                    Some(q)
-                }
-                None => {
-                    self.finished = true;
-                    None
-                }
-            },
-        }
-    }
 }
 
 impl InteractiveLearner for GraphQueryInteractive {
@@ -587,7 +562,7 @@ impl InteractiveLearner for GraphQueryInteractive {
     }
 
     fn propose(&mut self) -> Option<Question> {
-        let q = self.ensure_pending()?;
+        let q = self.pending.get_or_propose(|| self.session.propose())?;
         let (s, t) = self.session.question_pair(q);
         let graph = self.session.graph();
         let source = graph.display_name(s).replace(' ', "_");
@@ -605,17 +580,19 @@ impl InteractiveLearner for GraphQueryInteractive {
     }
 
     fn propose_pending(&mut self) -> bool {
-        self.ensure_pending().is_some()
+        self.pending
+            .get_or_propose(|| self.session.propose())
+            .is_some()
     }
 
     fn answer(&mut self, positive: bool) -> Result<(), SessionError> {
-        let q = self.pending.take().ok_or(SessionError::NoPendingQuestion)?;
+        let q = self.pending.take()?;
         self.session.record(q, positive);
         Ok(())
     }
 
     fn oracle_answer(&self) -> Result<bool, SessionError> {
-        let q = self.pending.ok_or(SessionError::NoPendingQuestion)?;
+        let q = self.pending.peek()?;
         let goal = self.goal.as_ref().ok_or(SessionError::NoGoal)?;
         Ok(goal.contains(&self.session.question_pair(q)))
     }
@@ -641,7 +618,7 @@ impl InteractiveLearner for GraphQueryInteractive {
     }
 
     fn done(&self) -> bool {
-        self.finished
+        self.pending.finished
     }
 }
 
@@ -654,8 +631,7 @@ impl InteractiveLearner for GraphQueryInteractive {
 pub struct JoinInteractive {
     session: qbe_relational::InteractiveSession<Arc<Relation>>,
     goal: Option<JoinPredicate>,
-    pending: Option<(usize, usize)>,
-    finished: bool,
+    pending: Pending<(usize, usize)>,
 }
 
 impl JoinInteractive {
@@ -685,8 +661,7 @@ impl JoinInteractive {
         JoinInteractive {
             session: qbe_relational::InteractiveSession::with_config(left, right, config),
             goal: None,
-            pending: None,
-            finished: false,
+            pending: Pending::new(),
         }
     }
 
@@ -700,26 +675,6 @@ impl JoinInteractive {
     pub fn session(&self) -> &qbe_relational::InteractiveSession<Arc<Relation>> {
         &self.session
     }
-
-    /// Advance the pending-question state machine without rendering anything.
-    fn ensure_pending(&mut self) -> Option<(usize, usize)> {
-        if self.finished {
-            return None;
-        }
-        match self.pending {
-            Some(p) => Some(p),
-            None => match self.session.propose() {
-                Some(p) => {
-                    self.pending = Some(p);
-                    Some(p)
-                }
-                None => {
-                    self.finished = true;
-                    None
-                }
-            },
-        }
-    }
 }
 
 impl InteractiveLearner for JoinInteractive {
@@ -732,7 +687,7 @@ impl InteractiveLearner for JoinInteractive {
     }
 
     fn propose(&mut self) -> Option<Question> {
-        let (l, r) = self.ensure_pending()?;
+        let (l, r) = self.pending.get_or_propose(|| self.session.propose())?;
         let left_tuple = self.session.left().tuples()[l].to_string();
         let right_tuple = self.session.right().tuples()[r].to_string();
         Some(Question {
@@ -751,17 +706,19 @@ impl InteractiveLearner for JoinInteractive {
     }
 
     fn propose_pending(&mut self) -> bool {
-        self.ensure_pending().is_some()
+        self.pending
+            .get_or_propose(|| self.session.propose())
+            .is_some()
     }
 
     fn answer(&mut self, positive: bool) -> Result<(), SessionError> {
-        let (l, r) = self.pending.take().ok_or(SessionError::NoPendingQuestion)?;
+        let (l, r) = self.pending.take()?;
         self.session.record(l, r, positive);
         Ok(())
     }
 
     fn oracle_answer(&self) -> Result<bool, SessionError> {
-        let (l, r) = self.pending.ok_or(SessionError::NoPendingQuestion)?;
+        let (l, r) = self.pending.peek()?;
         let goal = self.goal.as_ref().ok_or(SessionError::NoGoal)?;
         Ok(goal.satisfied_by(
             &self.session.left().tuples()[l],
@@ -799,7 +756,7 @@ impl InteractiveLearner for JoinInteractive {
     }
 
     fn done(&self) -> bool {
-        self.finished
+        self.pending.finished
     }
 }
 

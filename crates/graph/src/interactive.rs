@@ -24,13 +24,12 @@
 
 use crate::model::{GNodeId, PropertyGraph};
 use crate::rpq::{simple_paths, Path};
-use qbe_algebra::{ExprId, QueryStore, Sym, WordMatcher};
 use qbe_bitset::DenseSet;
 use qbe_strategy::{
     pick_first_max_by, Candidate, CheapestFirst, PoolView, Random, SessionConfig, Strategy,
 };
 use std::borrow::Borrow;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
 /// A path-selection hypothesis: a conjunction of optional constraints.
 #[derive(Debug, Clone, PartialEq)]
@@ -76,26 +75,6 @@ impl PathConstraint {
             }
         }
         true
-    }
-
-    /// Lower the constraint's *regular* part onto the algebra IR: "all edges are `t` roads"
-    /// is the path query `t⁺` over the typed alphabet, the unconstrained hypothesis is `_*`.
-    /// `None` when the constraint carries a distance bound or a via city — those live outside
-    /// the regular fragment and stay with the bitset feature tests.
-    pub fn lower(&self, store: &mut QueryStore) -> Option<ExprId> {
-        if self.max_distance.is_some() || self.via.is_some() {
-            return None;
-        }
-        Some(match &self.road_type {
-            Some(t) => {
-                let l = store.label(t);
-                store.plus(l)
-            }
-            None => {
-                let any = store.any_label();
-                store.star(any)
-            }
-        })
     }
 
     /// Human-readable description.
@@ -398,55 +377,22 @@ impl<G: Borrow<PropertyGraph>> PathSession<G> {
             })
             .collect();
 
-        // The regular part of each road-type hypothesis lowers to the algebra IR (`t⁺`, or
-        // `_*` for the unconstrained row) and its acceptance mask over the candidates is
-        // computed once per *distinct interned expression* by matching each candidate's
-        // edge-type word — a per-session CSE cache: every via family of one road type reuses
-        // the same mask, and hash-consing collapses duplicate hypotheses to one computation.
-        let mut store = QueryStore::new();
-        // Edges without a `type` property get a reserved letter no label test can match,
-        // mirroring the legacy `uniform_types` check (which never contains such edges' type).
-        let missing_type = store.sym("\u{0}missing-type");
-        let words: Vec<Vec<Sym>> = candidates
-            .iter()
-            .map(|p| {
-                p.edges
-                    .iter()
-                    .map(|&e| {
-                        g.edge_property(e, "type")
-                            .and_then(|v| v.as_text())
-                            .map(|t| store.sym(t))
-                            .unwrap_or(missing_type)
-                    })
-                    .collect()
-            })
-            .collect();
-        let mut mask_cache: HashMap<ExprId, DenseSet<usize>> = HashMap::new();
+        // One acceptance mask per road-type hypothesis, decided by the same `uniform_types`
+        // test as `PathConstraint::accepts_features`; every via family of a road type reuses
+        // its mask.
         let rt_masks: Vec<DenseSet<usize>> = road_types
             .iter()
-            .map(|rt| {
-                let hypothesis = PathConstraint {
-                    road_type: rt.clone(),
-                    max_distance: None,
-                    via: None,
-                };
-                let expr = hypothesis
-                    .lower(&mut store)
-                    .expect("road-type hypotheses are regular");
-                mask_cache
-                    .entry(expr)
-                    .or_insert_with(|| {
-                        let matcher = WordMatcher::compile(&store, expr)
-                            .expect("road-type expressions are word queries");
-                        let mut mask: DenseSet<usize> = DenseSet::new(n);
-                        for (ix, word) in words.iter().enumerate() {
-                            if matcher.accepts(word) {
-                                mask.insert(ix);
-                            }
+            .map(|rt| match rt {
+                None => DenseSet::full(n),
+                Some(t) => {
+                    let mut mask: DenseSet<usize> = DenseSet::new(n);
+                    for (ix, f) in features.iter().enumerate() {
+                        if f.uniform_types.contains(t) {
+                            mask.insert(ix);
                         }
-                        mask
-                    })
-                    .clone()
+                    }
+                    mask
+                }
             })
             .collect();
         let via_masks: Vec<DenseSet<usize>> = vias
@@ -931,10 +877,10 @@ mod tests {
     }
 
     #[test]
-    fn cse_masks_match_per_candidate_evaluation_each_round() {
-        // The family bases are built from algebra-lowered road-type masks shared through a
-        // per-session cache; pin them — round by round, as the version space shrinks —
-        // against direct per-candidate constraint evaluation (the executable spec).
+    fn rows_match_per_candidate_evaluation_each_round() {
+        // The rows share family bases built from per-road-type masks and accept distance
+        // prefixes of them; pin them — round by round, as the version space shrinks — against
+        // direct per-candidate constraint evaluation (the executable spec).
         let (g, from, to) = setup();
         let mut session = PathSession::new(&g, from, to, 6, PathStrategy::Halving, 0);
         let mut oracle = GoalPathOracle::new(highway_goal());
@@ -956,31 +902,6 @@ mod tests {
             rounds += 1;
         }
         assert!(rounds > 0, "the session must ask at least one question");
-    }
-
-    #[test]
-    fn road_type_lowering_round_trips_through_the_word_matcher() {
-        let highway = highway_goal();
-        let mut store = QueryStore::new();
-        let e = highway.lower(&mut store).unwrap();
-        assert_eq!(store.render(e), "(highway)+");
-        let matcher = WordMatcher::compile(&store, e).unwrap();
-        let h = store.sym("highway");
-        let l = store.sym("local");
-        assert!(matcher.accepts(&[h, h]));
-        assert!(!matcher.accepts(&[h, l]));
-        assert!(!matcher.accepts(&[]));
-        let any = PathConstraint::any().lower(&mut store).unwrap();
-        let any_matcher = WordMatcher::compile(&store, any).unwrap();
-        assert!(any_matcher.accepts(&[]) && any_matcher.accepts(&[h, l]));
-        // Distance and via constraints stay outside the regular fragment.
-        assert!(PathConstraint {
-            road_type: None,
-            max_distance: Some(100.0),
-            via: None
-        }
-        .lower(&mut store)
-        .is_none());
     }
 
     #[test]

@@ -18,10 +18,11 @@
 //! `qbe-algebra.cache_hit_frac` reports the sharing on served sessions (`perfbench/README.md`).
 
 use crate::index::GraphIndex;
+use crate::interactive::PathStrategy;
 use crate::model::{GNodeId, PropertyGraph};
 use qbe_algebra::{eval_conj, eval_expr, ConjQuery, EvalCache, ExprId, PathAtom, QueryStore, Term};
 use qbe_bitset::DenseSet;
-use qbe_strategy::{pick_first_max_by, Candidate, PoolView, SessionConfig, Strategy};
+use qbe_strategy::{Candidate, PoolView, SessionConfig, Strategy};
 use std::borrow::Borrow;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -261,21 +262,6 @@ pub struct QuerySession<G: Borrow<PropertyGraph>> {
     stats: CseStats,
 }
 
-/// The default strategy: version-space halving over pair questions (the same comparator as
-/// the path model's flagship policy).
-#[derive(Debug, Clone, Copy, Default)]
-struct PairHalving;
-
-impl Strategy for PairHalving {
-    fn name(&self) -> &str {
-        "halving"
-    }
-
-    fn pick(&mut self, pool: &PoolView<'_>) -> Option<usize> {
-        pick_first_max_by(pool.candidates, |c| c.informativeness)
-    }
-}
-
 impl<G: Borrow<PropertyGraph>> QuerySession<G> {
     /// Start a session over a typed graph (see [`crate::lower::typed_road_view`]) with the
     /// default halving strategy.
@@ -283,9 +269,10 @@ impl<G: Borrow<PropertyGraph>> QuerySession<G> {
         QuerySession::with_config(graph, class, SessionConfig::new().seed(seed))
     }
 
-    /// Start a session from a [`SessionConfig`] (strategy, question budget, seed).
+    /// Start a session from a [`SessionConfig`] (strategy, question budget, seed). The default
+    /// strategy is the path model's [`PathStrategy::Halving`], here over pair questions.
     pub fn with_config(graph: G, class: QueryClass, config: SessionConfig) -> QuerySession<G> {
-        let resolved = config.resolve(|_| Box::new(PairHalving));
+        let resolved = config.resolve(|seed| PathStrategy::Halving.strategy(seed));
         let g = graph.borrow();
         let index = GraphIndex::build(g);
         let mut store = QueryStore::new();

@@ -13,11 +13,9 @@ use std::collections::HashMap;
 use std::sync::{Mutex, OnceLock};
 
 use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 use qbe_core::faults::{FaultProfile, FaultRegistry, SiteConfig};
-use qbe_core::votes_for_session;
+use qbe_core::{votes_for_session, MajorityVote};
 
 use qbe_core::graph::QueryClass;
 
@@ -129,8 +127,11 @@ fn run_noisy(model_ix: usize, drop_p: f64, flip_p: f64, seed: u64) -> NoisyRun {
         .and_then(|id| id.parse().ok())
         .expect("START replies with a session id");
 
-    let votes = votes_for_session(flip_p, 1e-6, 64);
-    let mut flip_rng = StdRng::seed_from_u64(seed.wrapping_mul(0x9e3779b97f4a7c15) ^ 0x5eed);
+    let mut vote = MajorityVote::new(
+        flip_p,
+        votes_for_session(flip_p, 1e-6, 64),
+        seed.wrapping_mul(0x9e3779b97f4a7c15) ^ 0x5eed,
+    );
     let mut carried: Option<String> = None;
     let consistent = loop {
         safety = safety.checked_sub(1).expect("fault schedule never settled");
@@ -145,10 +146,7 @@ fn run_noisy(model_ix: usize, drop_p: f64, flip_p: f64, seed: u64) -> NoisyRun {
         let fields = parse_fields_line(ask.strip_prefix("+ASK ").expect("question line"))
             .expect("ASK fields parse");
         let truth = evaluator.label(&fields).expect("goal labels the question");
-        let yes = (0..votes)
-            .filter(|_| truth != (flip_p > 0.0 && flip_rng.gen_bool(flip_p)))
-            .count();
-        let answer = if 2 * yes > votes {
+        let answer = if vote.answer(truth) {
             "ANSWER yes"
         } else {
             "ANSWER no"

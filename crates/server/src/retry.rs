@@ -38,6 +38,7 @@ use std::thread;
 use std::time::Duration;
 
 use qbe_core::faults::{injected_io_error, FaultRegistry};
+use qbe_core::MajorityVote;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -350,7 +351,7 @@ impl ResilientClient {
 
 /// The simulated unreliable user: labels flip with probability `p`, and each question is
 /// (locally) re-asked `votes` times with the majority sent as the one wire `ANSWER` — the
-/// k-vote meta-strategy, budget-aware because only that committed answer consumes the
+/// k-vote [`MajorityVote`], budget-aware because only that committed answer consumes the
 /// session's question budget. Pick `votes` with [`qbe_core::votes_for_session`] to push the
 /// whole session's error probability below a target δ.
 #[derive(Debug, Clone)]
@@ -415,13 +416,7 @@ pub fn drive_goal_session_resilient(
     if let Some(f) = faults {
         client.set_faults(f);
     }
-    let mut flip_rng = noise.map(|n| {
-        assert!(
-            (0.0..0.5).contains(&n.p),
-            "majority voting needs flip probability in [0, 0.5)"
-        );
-        StdRng::seed_from_u64(n.seed)
-    });
+    let mut vote = noise.map(|n| MajorityVote::new(n.p, n.votes, n.seed));
 
     let mut params: Vec<(&str, &str)> = start_params.to_vec();
     if let Goal::GraphPairs(class) = goal {
@@ -429,8 +424,6 @@ pub fn drive_goal_session_resilient(
     }
     let session_id = client.start(evaluator.model(), &params)?;
 
-    let mut votes_cast = 0u64;
-    let mut flips = 0u64;
     let (questions, consistent) = loop {
         match client.ask()? {
             AskReply::Done {
@@ -439,24 +432,7 @@ pub fn drive_goal_session_resilient(
             } => break (questions, consistent),
             AskReply::Question(fields) => {
                 let truth = evaluator.label(&fields)?;
-                let positive = match (noise, flip_rng.as_mut()) {
-                    (Some(n), Some(rng)) => {
-                        let k = n.votes.max(1) | 1; // odd: no ties
-                        let mut yes = 0usize;
-                        for _ in 0..k {
-                            let flipped = n.p > 0.0 && rng.gen_bool(n.p);
-                            if flipped {
-                                flips += 1;
-                            }
-                            if truth != flipped {
-                                yes += 1;
-                            }
-                            votes_cast += 1;
-                        }
-                        2 * yes > k
-                    }
-                    _ => truth,
-                };
+                let positive = vote.as_mut().map_or(truth, |v| v.answer(truth));
                 client.answer(positive, &fields)?;
             }
         }
@@ -476,8 +452,8 @@ pub fn drive_goal_session_resilient(
         },
         reconnects,
         retried_requests,
-        votes_cast,
-        flips,
+        votes_cast: vote.as_ref().map_or(0, MajorityVote::votes),
+        flips: vote.as_ref().map_or(0, MajorityVote::flips),
     })
 }
 

@@ -660,6 +660,11 @@ pub(crate) fn respond(service: &Service, state: &mut ProtoState, line: &str) -> 
 
 use crate::protocol::field_value as param;
 
+/// The largest `max_edges` a path `START` accepts. The session enumerates every simple path of
+/// up to that many edges before keeping the shortest, so the work grows exponentially with it;
+/// past this cap one `START` line could pin a worker for seconds to minutes.
+const MAX_PATH_EDGES: usize = 10;
+
 fn parse_seed(params: &[(String, String)]) -> Result<u64, String> {
     match param(params, "seed") {
         None => Ok(0),
@@ -759,7 +764,11 @@ pub(crate) fn build_learner(
                 None => 6,
                 Some(s) => s
                     .parse()
-                    .map_err(|_| format!("max_edges must be a usize, got {s:?}"))?,
+                    .ok()
+                    .filter(|&n| n <= MAX_PATH_EDGES)
+                    .ok_or_else(|| {
+                        format!("max_edges must be an integer in 0..={MAX_PATH_EDGES}, got {s:?}")
+                    })?,
             };
             Ok(Box::new(PathInteractive::with_config(
                 corpus.graph.clone(),
@@ -915,6 +924,13 @@ mod tests {
         );
         let ok = build_learner(&corpus, Model::Path, &[("to".into(), "city3".into())]).unwrap();
         assert_eq!(ok.kind(), "path");
+        // max_edges is capped: path enumeration grows exponentially with it.
+        let path = |n: &str| build_learner(&corpus, Model::Path, &[("max_edges".into(), n.into())]);
+        assert!(path("10").is_ok());
+        for n in ["11", "40", "18446744073709551615", "-1", "six"] {
+            let err = path(n).err().expect("rejected");
+            assert!(err.contains("max_edges"), "{n}: {err}");
+        }
         let graph =
             build_learner(&corpus, Model::Graph, &[("class".into(), "2rpq".into())]).unwrap();
         assert_eq!(graph.kind(), "graph");

@@ -378,6 +378,13 @@ fn protocol_errors_are_reported_not_fatal() {
             .is_err(),
         "unknown strategy"
     );
+    // An oversized path enumeration is refused up front instead of pinning a worker.
+    let started = std::time::Instant::now();
+    assert!(
+        client.start(Model::Path, &[("max_edges", "40")]).is_err(),
+        "max_edges above the cap"
+    );
+    assert!(started.elapsed() < Duration::from_secs(1));
     let session = client.start(Model::Twig, &[]).unwrap();
     assert!(session > 0);
     assert!(client.answer(true).is_err(), "ANSWER without pending ASK");

@@ -39,7 +39,12 @@ impl fmt::Display for XPathError {
 
 impl std::error::Error for XPathError {}
 
-/// Parse an XPath string into a [`TwigQuery`].
+/// The deepest predicate nesting [`parse_xpath`] accepts. The parser recurses once per level,
+/// so without a cap a few hundred kilobytes of `[a` would overflow the stack.
+const MAX_DEPTH: usize = 256;
+
+/// Parse an XPath string into a [`TwigQuery`]. Predicates nested deeper than 256 levels are an
+/// error.
 ///
 /// ```
 /// let q = qbe_twig::parse_xpath("/site//person[profile[age]]/name").unwrap();
@@ -127,7 +132,7 @@ impl<'a> Parser<'a> {
         let axis = self.parse_axis()?;
         let test = self.parse_nodetest()?;
         let mut query = TwigQuery::new(axis, test);
-        self.parse_predicates(&mut query, QNodeId::ROOT)?;
+        self.parse_predicates(&mut query, QNodeId::ROOT, 1)?;
         let mut current = QNodeId::ROOT;
         loop {
             self.skip_ws();
@@ -137,7 +142,7 @@ impl<'a> Parser<'a> {
                     let axis = self.parse_axis()?;
                     let test = self.parse_nodetest()?;
                     current = query.add_node(current, axis, test);
-                    self.parse_predicates(&mut query, current)?;
+                    self.parse_predicates(&mut query, current, 1)?;
                 }
                 Some(other) => {
                     return self.err(format!(
@@ -151,13 +156,23 @@ impl<'a> Parser<'a> {
         Ok(query)
     }
 
-    fn parse_predicates(&mut self, query: &mut TwigQuery, node: QNodeId) -> Result<(), XPathError> {
+    /// Parse the predicates of `node`, each opening nesting level `depth` (a step's own
+    /// predicates are level 1).
+    fn parse_predicates(
+        &mut self,
+        query: &mut TwigQuery,
+        node: QNodeId,
+        depth: usize,
+    ) -> Result<(), XPathError> {
         loop {
             self.skip_ws();
             if !self.eat(b'[') {
                 return Ok(());
             }
-            self.parse_relative_path(query, node)?;
+            if depth > MAX_DEPTH {
+                return self.err(format!("predicates nest deeper than {MAX_DEPTH} levels"));
+            }
+            self.parse_relative_path(query, node, depth)?;
             self.skip_ws();
             if !self.eat(b']') {
                 return self.err("expected `]` closing a predicate");
@@ -169,6 +184,7 @@ impl<'a> Parser<'a> {
         &mut self,
         query: &mut TwigQuery,
         parent: QNodeId,
+        depth: usize,
     ) -> Result<(), XPathError> {
         self.skip_ws();
         if self.peek() == Some(b'@') {
@@ -184,14 +200,14 @@ impl<'a> Parser<'a> {
         }
         let test = self.parse_nodetest()?;
         let mut current = query.add_node(parent, first_axis, test);
-        self.parse_predicates(query, current)?;
+        self.parse_predicates(query, current, depth + 1)?;
         loop {
             self.skip_ws();
             if self.peek() == Some(b'/') {
                 let axis = self.parse_axis()?;
                 let test = self.parse_nodetest()?;
                 current = query.add_node(current, axis, test);
-                self.parse_predicates(query, current)?;
+                self.parse_predicates(query, current, depth + 1)?;
             } else {
                 return Ok(());
             }
@@ -279,6 +295,20 @@ mod tests {
         assert!(parse_xpath("").is_err());
         assert!(parse_xpath("///").is_err());
         assert!(parse_xpath("/site[").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_instead_of_overflowing_the_stack() {
+        let nested = |levels: usize| format!("//a{}{}", "[a".repeat(levels), "]".repeat(levels));
+        assert_eq!(
+            parse_xpath(&nested(MAX_DEPTH)).unwrap().size(),
+            MAX_DEPTH + 1
+        );
+        let err = parse_xpath(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.message.contains("nest deeper"), "{err}");
+        // 100,000 unclosed predicates: an error, not a stack overflow.
+        let err = parse_xpath(&format!("//a{}", "[a".repeat(100_000))).unwrap_err();
+        assert_eq!(err.position, "//a".len() + 2 * MAX_DEPTH + 1);
     }
 
     #[test]

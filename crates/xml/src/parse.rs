@@ -31,7 +31,13 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-/// Parse an XML document into an [`XmlTree`].
+/// The deepest element nesting [`parse_xml`] accepts (libxml2's default limit). The parser
+/// recurses once per level, so without a cap a few kilobytes of unclosed tags would overflow
+/// the stack.
+const MAX_DEPTH: usize = 256;
+
+/// Parse an XML document into an [`XmlTree`]. Elements nested deeper than 256 levels are an
+/// error.
 ///
 /// ```
 /// let doc = qbe_xml::parse_xml("<site><people><person id='p0'><name>Alice</name></person></people></site>").unwrap();
@@ -164,7 +170,7 @@ impl<'a> Parser<'a> {
         if self.peek() != Some(b'<') {
             return self.err("expected root element");
         }
-        let root = self.parse_element()?;
+        let root = self.parse_element(1)?;
         self.skip_misc()?;
         if self.pos != self.input.len() {
             return self.err("trailing content after root element");
@@ -172,7 +178,11 @@ impl<'a> Parser<'a> {
         Ok(root)
     }
 
-    fn parse_element(&mut self) -> Result<RawElement, ParseError> {
+    /// Parse the element starting here, at nesting level `depth` (the root is level 1).
+    fn parse_element(&mut self, depth: usize) -> Result<RawElement, ParseError> {
+        if depth > MAX_DEPTH {
+            return self.err(format!("elements nest deeper than {MAX_DEPTH} levels"));
+        }
         if self.peek() != Some(b'<') {
             return self.err("expected `<`");
         }
@@ -256,7 +266,7 @@ impl<'a> Parser<'a> {
                     } else if self.starts_with("<?") {
                         self.consume_until("?>")?;
                     } else {
-                        let child = self.parse_element()?;
+                        let child = self.parse_element(depth + 1)?;
                         element.children.push(child);
                     }
                 }
@@ -420,6 +430,20 @@ mod tests {
     #[test]
     fn rejects_unterminated_document() {
         assert!(parse_xml("<a><b>").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_instead_of_overflowing_the_stack() {
+        let nested = |levels: usize| "<a>".repeat(levels) + &"</a>".repeat(levels);
+        assert_eq!(
+            parse_xml(&nested(MAX_DEPTH)).unwrap().height(),
+            MAX_DEPTH - 1
+        );
+        let err = parse_xml(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.message.contains("nest deeper"), "{err}");
+        // 100,000 unclosed tags: an error, not a stack overflow.
+        let err = parse_xml(&"<a>".repeat(100_000)).unwrap_err();
+        assert_eq!(err.position, 3 * MAX_DEPTH);
     }
 
     #[test]

@@ -1,119 +1,56 @@
-//! End-to-end tests exercising the cross-model learning framework of `qbe-core`: the same
-//! generic interactive protocol instantiated for all three data models, quality metrics against
-//! hidden goals, and a full pipeline chaining two exchanges.
+//! End-to-end tests of the one interactive protocol of `qbe-core`: the same
+//! [`InteractiveLearner`](qbe_core::InteractiveLearner) loop, driven by a hidden goal, learns
+//! twig and join queries whose answer sets equal the goal's, and a full pipeline chains two
+//! exchanges.
 
-use qbe_core::relational::{customers_orders_database, JoinPredicate};
-use qbe_core::twig::{parse_xpath, select};
+use std::sync::Arc;
+
+use qbe_core::relational::{customers_orders_database, interactive::selected_pairs, JoinPredicate};
+use qbe_core::twig::{parse_xpath, select, NodeStrategy};
 use qbe_core::xml::xmark::{generate, XmarkConfig};
-use qbe_core::{
-    compare_hypotheses, run_interactive, BoundJoinQuery, BoundTwigQuery, GoalOracle, JoinLearner,
-    Learner, Oracle, PairItem, PathItem, PathLearner, TwigLearner, XmlItem,
-};
+use qbe_core::xml::NodeIndex;
+use qbe_core::{drive, JoinInteractive, SessionConfig, TwigInteractive};
 
 #[test]
 fn generic_interactive_protocol_learns_a_twig_query() {
-    let docs = vec![generate(&XmarkConfig::new(0.03, 1))];
-    let goal_query = parse_xpath("//person/name").unwrap();
-    let goal = BoundTwigQuery {
-        documents: &docs,
-        query: goal_query.clone(),
-    };
+    let docs = Arc::new(vec![generate(&XmarkConfig::new(0.03, 1))]);
+    let indexes = Arc::new(docs.iter().map(NodeIndex::build).collect::<Vec<_>>());
+    let goal = parse_xpath("//person/name").unwrap();
+    let mut learner =
+        TwigInteractive::with_shared(docs.clone(), indexes, NodeStrategy::LabelAffinity, 1)
+            .with_goal(goal.clone());
+    let report = drive("twig", &mut learner);
+    assert!(report.success, "labels from a goal are always consistent");
 
-    // Pool: a sample of nodes of the document (every 5th node keeps the pool small).
-    let pool: Vec<XmlItem> = docs[0]
-        .node_ids()
-        .enumerate()
-        .filter(|(i, _)| i % 5 == 0)
-        .map(|(_, node)| XmlItem { doc: 0, node })
-        .collect();
-
-    let learner = TwigLearner { documents: &docs };
-    let mut oracle = GoalOracle::new(goal.clone());
-    let outcome = run_interactive(&learner, &pool, &mut oracle);
-    let learned = outcome
-        .hypothesis
-        .expect("labels from a goal are always consistent");
-
-    // The learned query agrees with the goal on the whole pool.
-    let matrix = compare_hypotheses(&goal, &learned, pool.iter().copied());
-    assert!(matrix.is_exact(), "confusion matrix not exact: {matrix:?}");
-    // The driver asked for strictly fewer labels than the pool size (pruning happened).
-    assert!(outcome.interactions < pool.len());
-    assert_eq!(outcome.interactions, oracle.questions());
+    // The learned query selects exactly the goal's answer set.
+    let learned = learner.session().candidate().expect("a learned query");
+    assert_eq!(select(&learned, &docs[0]), select(&goal, &docs[0]));
+    // The session asked for strictly fewer labels than there are nodes (pruning happened).
+    assert!(report.questions < docs[0].size());
 }
 
 #[test]
 fn generic_interactive_protocol_learns_a_join_query() {
     let db = customers_orders_database(8, 2, 6);
-    let customers = db.relation("customers").unwrap();
-    let orders = db.relation("orders").unwrap();
-    let goal_predicate =
+    let customers = Arc::new(db.relation("customers").unwrap().clone());
+    let orders = Arc::new(db.relation("orders").unwrap().clone());
+    let goal =
         JoinPredicate::from_names(customers.schema(), orders.schema(), &[("cid", "cid")]).unwrap();
-    let goal = BoundJoinQuery {
-        left: customers,
-        right: orders,
-        predicate: goal_predicate.clone(),
-    };
+    let mut learner =
+        JoinInteractive::with_config(customers.clone(), orders.clone(), SessionConfig::new())
+            .with_goal(goal.clone());
+    let report = drive("join", &mut learner);
+    assert!(report.success);
 
-    let pool: Vec<PairItem> = (0..customers.len())
-        .flat_map(|l| (0..orders.len()).map(move |r| PairItem { left: l, right: r }))
-        .collect();
-    let learner = JoinLearner {
-        left: customers,
-        right: orders,
-    };
-    let mut oracle = GoalOracle::new(goal.clone());
-    let outcome = run_interactive(&learner, &pool, &mut oracle);
-    let learned = outcome.hypothesis.expect("consistent");
-    let matrix = compare_hypotheses(&goal, &learned, pool.iter().copied());
-    assert!(matrix.is_exact());
-    assert!(outcome.interactions < pool.len(), "no pruning happened");
-}
-
-#[test]
-fn generic_interactive_protocol_learns_a_path_query() {
-    let learner = PathLearner;
-    let goal = learner
-        .learn(
-            &[
-                PathItem {
-                    word: vec!["highway".into()],
-                },
-                PathItem {
-                    word: vec!["highway".into(), "highway".into()],
-                },
-            ],
-            &[PathItem {
-                word: vec!["local".into()],
-            }],
-        )
-        .expect("separable");
-
-    let pool: Vec<PathItem> = vec![
-        PathItem {
-            word: vec!["highway".into()],
-        },
-        PathItem {
-            word: vec!["highway".into(), "highway".into()],
-        },
-        PathItem {
-            word: vec!["highway".into(), "highway".into(), "highway".into()],
-        },
-        PathItem {
-            word: vec!["local".into()],
-        },
-        PathItem {
-            word: vec!["local".into(), "highway".into()],
-        },
-        PathItem { word: vec![] },
-    ];
-    let mut oracle = GoalOracle::new(goal.clone());
-    let outcome = run_interactive(&learner, &pool, &mut oracle);
-    let learned = outcome.hypothesis.expect("consistent");
-    for item in &pool {
-        use qbe_core::Hypothesis;
-        assert_eq!(goal.selects(item), learned.selects(item));
-    }
+    let learned = learner.session().current_hypothesis();
+    assert_eq!(
+        selected_pairs(&customers, &orders, &learned),
+        selected_pairs(&customers, &orders, &goal)
+    );
+    assert!(
+        report.questions < customers.len() * orders.len(),
+        "no pruning happened"
+    );
 }
 
 #[test]
