@@ -20,23 +20,42 @@
 //!   positives is at least as general, so it selects at least that query's answers. If that
 //!   query selects an already-labelled *negative*, every hypothesis selecting `n` is
 //!   inconsistent with the collected labels — `n`'s label is determined to be negative and it is
-//!   pruned without asking (see [`TwigSession::is_determined_negative`]).
+//!   pruned without asking (see [`TwigSession::is_determined_negative`], the per-node
+//!   specification).
 //!
 //! Remaining nodes are informative: a positive label generalises the candidate, a negative label
 //! constrains the final query.
+//!
+//! **Determined negatives by class.** Proving one node negative runs the learner's filter
+//! harvest over `positives ∪ {n}`, and at the end of a session the pool drains through one
+//! such proof per remaining node. The session instead proves nodes by *extended-spine class*:
+//! `n` enters the harvest only through its root-to-node label path, which fixes the extended
+//! spine and with it the list of filters tried, and then through whether each tried query
+//! selects `n`. So the session runs the harvest once per class and positive epoch as a tree
+//! of branches: a try that loses a positive is rejected for the whole class, a try that keeps
+//! every positive splits the branch by membership in its answer set (one indexed evaluation
+//! per try and branch, then one bit test per node). Branches are expanded lazily, only along
+//! the nodes the strategy picks, and a branch keeps just its accepted-try indices and its
+//! answer bitsets, so each verdict is re-checked against the negatives known at pick time.
+//! The verdict ([`TwigSession::is_determined_negative_by_class`]) equals
+//! [`TwigSession::is_determined_negative`] on every node, which
+//! `crates/twig/tests/prop_determined_negatives.rs` checks after every answer. Computing one
+//! closure per class of interchangeable items is the equivalence-class trick of
+//! closed-itemset miners.
 //!
 //! All candidate evaluations run through the indexed engine ([`crate::eval_indexed`]): the
 //! session shares one immutable [`NodeIndex`] per document — documents and indexes can be
 //! handed in as `Arc`s by a concurrent workload driver (see [`TwigSession::with_shared`]) — and
 //! keeps one [`EvalCache`] per document so structurally repeated sub-twigs across the many
-//! candidate queries of a session are matched once.
+//! candidate queries of a session are matched once. Node labels and label paths are interned
+//! once per session, so the strategy's feature rows are built from integer ids.
 //!
 //! The session stops when every node is labelled or pruned, and reports the learned query, the
 //! number of interactions (the quantity the paper wants to minimise) and the number of labels the
 //! pruning saved.
 
-use std::cell::RefCell;
-use std::collections::{BTreeMap, BTreeSet};
+use std::cell::{Ref, RefCell};
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use std::sync::Arc;
 
@@ -50,6 +69,7 @@ use qbe_xml::{NodeId, NodeIndex, XmlTree};
 use crate::eval;
 use crate::eval_indexed::{self, EvalCache};
 use crate::example::Annotation;
+use crate::learn::{CachedSpine, FilterTry};
 use crate::query::TwigQuery;
 
 /// The answer source for node-labelling questions.
@@ -200,9 +220,9 @@ impl fmt::Display for TwigSessionOutcome {
 /// An in-progress interactive twig-learning session.
 ///
 /// All per-round bookkeeping runs on dense bitsets: one [`DenseSet`] per document for the
-/// labelled, determined-negative, certain-positive and still-informative node sets, so each
-/// proposal round updates the candidate pool by word-level set difference instead of rescanning
-/// every node against `BTreeSet`s.
+/// labelled, negative, determined-negative, certain-positive and still-informative node sets,
+/// so each proposal round updates the candidate pool by word-level set difference instead of
+/// rescanning every node against `BTreeSet`s.
 #[derive(Debug)]
 pub struct TwigSession {
     docs: Arc<Vec<XmlTree>>,
@@ -227,13 +247,214 @@ pub struct TwigSession {
     /// maintained incrementally (full rebuild only when the candidate — and with it the certain
     /// region — changes, i.e. once per positive answer).
     pool: Vec<DenseSet<NodeId>>,
-    /// The generalised spine of the current positive set, cached so each determined-negative
-    /// check folds in exactly one more example instead of refolding every positive.
-    epoch_spine: Option<crate::learn::CachedSpine>,
-    /// Positive-label count the `certain_bits`/`epoch_spine` caches were computed for.
+    /// Per-document bitset of nodes labelled negative (what a class verdict intersects).
+    negative_bits: Vec<DenseSet<NodeId>>,
+    /// Positive labels recorded so far — the epoch every per-positive cache is keyed by.
+    positive_count: usize,
+    /// The current candidate with the positive count it was learned for (`(0, None)` is
+    /// already current: no positive, no candidate).
+    candidate: RefCell<(usize, Option<TwigQuery>)>,
+    /// Session-wide label id of every node, per document.
+    label_ids: Vec<Vec<u32>>,
+    /// Number of distinct labels across the documents.
+    label_count: usize,
+    /// Session-wide root-to-node label-path id of every node, per document.
+    path_ids: Vec<Vec<u32>>,
+    /// Determined-negative proofs of the current positive epoch, by extended-spine class.
+    classes: Option<SpineClasses>,
+    /// Positive-label count the `certain_bits` and `pool` were computed for.
     known_positives: usize,
     /// Set once a generalised candidate swallows an earlier negative.
     inconsistent: bool,
+}
+
+/// Determined-negative proofs of one positive epoch, batched by extended-spine class (see the
+/// module docs).
+#[derive(Debug)]
+struct SpineClasses {
+    /// Positive count the memo was built for.
+    positives: usize,
+    /// Fold of the positives' label paths; each class extends it by one label path.
+    base: CachedSpine,
+    /// The first positive, whose neighbourhood every harvest takes its filters from.
+    first: (usize, NodeId),
+    /// The positives per document: what a try must keep selecting to be accepted at all.
+    targets: Vec<Vec<NodeId>>,
+    /// Class of each label-path id met so far (extended spines are a function of the path).
+    class_of_path: HashMap<u32, usize>,
+    classes: Vec<SpineClass>,
+}
+
+/// The nodes whose label path extends the positives' spine to one [`CachedSpine`].
+#[derive(Debug)]
+struct SpineClass {
+    spine: CachedSpine,
+    /// The harvest's filters over `spine`, in the order it tries them.
+    tries: Vec<FilterTry>,
+    /// Branch arena; `branches[0]` is the bare spine query.
+    branches: Vec<Branch>,
+}
+
+/// One state of the class's harvest: the query built from the accepted tries.
+#[derive(Debug)]
+struct Branch {
+    /// Indices into [`SpineClass::tries`] accepted on the way here, in order.
+    accepted: Vec<usize>,
+    /// The query's answer bitset per document.
+    answers: Vec<DenseSet<NodeId>>,
+    next: Next,
+}
+
+#[derive(Debug, Clone, Copy)]
+enum Next {
+    /// Tries from this index on are not processed yet.
+    From(usize),
+    /// A try that keeps every positive: members it selects continue in `accept`, the others
+    /// in `reject`.
+    Split { accept: usize, reject: usize },
+    /// Every try is processed: the query is the most specific one over `positives ∪ {n}`.
+    Leaf,
+}
+
+impl SpineClasses {
+    /// The index of the class of `node` (in `doc`), whose label-path id is `path`; created,
+    /// with its bare spine query evaluated, on the first node of a new extended spine.
+    fn class_of(
+        &mut self,
+        path: u32,
+        (doc, node): (&XmlTree, NodeId),
+        docs: &[XmlTree],
+        eval: impl Fn(&TwigQuery) -> Vec<DenseSet<NodeId>>,
+    ) -> usize {
+        if let Some(&ix) = self.class_of_path.get(&path) {
+            return ix;
+        }
+        let spine = self.base.extended(doc, node);
+        let ix = match self.classes.iter().position(|c| c.spine == spine) {
+            Some(ix) => ix,
+            None => {
+                let (first_doc, first_node) = self.first;
+                let tries = spine.filter_tries((&docs[first_doc], first_node));
+                let root = Branch {
+                    accepted: Vec::new(),
+                    answers: eval(&spine.path_query()),
+                    next: Next::From(0),
+                };
+                self.classes.push(SpineClass {
+                    spine,
+                    tries,
+                    branches: vec![root],
+                });
+                self.classes.len() - 1
+            }
+        };
+        self.class_of_path.insert(path, ix);
+        ix
+    }
+}
+
+impl SpineClass {
+    /// Run the tries of branch `at` from `from` on: a try that loses a positive is rejected
+    /// for the whole branch, one that keeps every positive and all of the branch's answers is
+    /// accepted for the whole branch, and the first other one that keeps every positive splits
+    /// it.
+    fn expand(
+        &mut self,
+        at: usize,
+        from: usize,
+        targets: &[Vec<NodeId>],
+        eval: impl Fn(&TwigQuery) -> Vec<DenseSet<NodeId>>,
+    ) {
+        let mut query = self.spine.path_query();
+        for &t in &self.branches[at].accepted {
+            self.tries[t].apply(&mut query);
+        }
+        for t in from..self.tries.len() {
+            let mut candidate = query.clone();
+            self.tries[t].apply(&mut candidate);
+            let answers = eval(&candidate);
+            let keeps_positives = answers
+                .iter()
+                .zip(targets)
+                .all(|(bits, nodes)| nodes.iter().all(|&n| bits.contains(n)));
+            if !keeps_positives {
+                continue;
+            }
+            let branch = &mut self.branches[at];
+            if answers == branch.answers {
+                // Every node that reaches a branch is among its answers (the bare spine query
+                // selects its whole class, and a split sends each node where it stays
+                // selected), so all of them keep this filter: no split.
+                branch.accepted.push(t);
+                query = candidate;
+                continue;
+            }
+            let reject = Branch {
+                accepted: branch.accepted.clone(),
+                answers: branch.answers.clone(),
+                next: Next::From(t + 1),
+            };
+            let mut accepted = branch.accepted.clone();
+            accepted.push(t);
+            let accept = Branch {
+                accepted,
+                answers,
+                next: Next::From(t + 1),
+            };
+            let accept_ix = self.branches.len();
+            self.branches[at].next = Next::Split {
+                accept: accept_ix,
+                reject: accept_ix + 1,
+            };
+            self.branches.push(accept);
+            self.branches.push(reject);
+            return;
+        }
+        self.branches[at].next = Next::Leaf;
+    }
+}
+
+/// Indexed evaluation of `query` on every document, through the session's memos.
+fn eval_all(
+    docs: &[XmlTree],
+    indexes: &[NodeIndex],
+    caches: &RefCell<Vec<EvalCache>>,
+    query: &TwigQuery,
+) -> Vec<DenseSet<NodeId>> {
+    let mut caches = caches.borrow_mut();
+    docs.iter()
+        .zip(indexes)
+        .zip(caches.iter_mut())
+        .map(|((doc, index), cache)| eval_indexed::select_bits_with(query, doc, index, cache))
+        .collect()
+}
+
+/// The strategy's feature rows for one [`TwigSession::propose`], aligned with the pool nodes
+/// in document order (the model's paper order), built once per call and edited as picks are
+/// proven negative.
+struct FeatureRows {
+    nodes: Vec<(usize, NodeId)>,
+    labels: Vec<u32>,
+    rows: Vec<Candidate>,
+    /// Pool nodes per label id: the `coverage` channel.
+    label_counts: Vec<usize>,
+}
+
+impl FeatureRows {
+    /// Drop row `ix` and lower the coverage of every row sharing its label.
+    fn remove(&mut self, ix: usize) {
+        self.nodes.remove(ix);
+        self.rows.remove(ix);
+        let label = self.labels.remove(ix);
+        let count = &mut self.label_counts[label as usize];
+        *count -= 1;
+        let coverage = *count as f64;
+        for (row, &l) in self.rows.iter_mut().zip(&self.labels) {
+            if l == label {
+                row.coverage = coverage;
+            }
+        }
+    }
 }
 
 impl TwigSession {
@@ -278,6 +499,47 @@ impl TwigSession {
         let caches = RefCell::new(vec![EvalCache::new(); docs.len()]);
         let empty: Vec<DenseSet<NodeId>> = docs.iter().map(|d| DenseSet::new(d.size())).collect();
         let pool: Vec<DenseSet<NodeId>> = docs.iter().map(|d| DenseSet::full(d.size())).collect();
+        // One id per distinct label, read off the postings: one string per label, not per node.
+        let mut label_table: HashMap<&str, u32> = HashMap::new();
+        let label_ids: Vec<Vec<u32>> = indexes
+            .iter()
+            .map(|index| {
+                let mut ids = vec![0; index.node_count()];
+                for (label, bits) in index.posting_entries() {
+                    let next = label_table.len() as u32;
+                    let id = *label_table.entry(label).or_insert(next);
+                    for node in bits.iter() {
+                        ids[node.index()] = id;
+                    }
+                }
+                ids
+            })
+            .collect();
+        let label_count = label_table.len();
+        // A label path is its parent's path plus the node's label, so a preorder walk interns
+        // them into a trie: `trie[path]` lists `(label, extended path)`, path 0 is the empty one.
+        let mut trie: Vec<Vec<(u32, u32)>> = vec![Vec::new()];
+        let path_ids: Vec<Vec<u32>> = docs
+            .iter()
+            .zip(&label_ids)
+            .map(|(doc, labels)| {
+                let mut ids = vec![0; doc.size()];
+                for node in doc.preorder(XmlTree::ROOT) {
+                    let parent = doc.parent(node).map_or(0, |p| ids[p.index()]) as usize;
+                    let label = labels[node.index()];
+                    ids[node.index()] = match trie[parent].iter().find(|&&(l, _)| l == label) {
+                        Some(&(_, path)) => path,
+                        None => {
+                            let path = trie.len() as u32;
+                            trie.push(Vec::new());
+                            trie[parent].push((label, path));
+                            path
+                        }
+                    };
+                }
+                ids
+            })
+            .collect();
         TwigSession {
             docs,
             indexes,
@@ -288,9 +550,15 @@ impl TwigSession {
             asked: 0,
             labelled_bits: empty.clone(),
             determined_bits: empty.clone(),
-            certain_bits: empty,
+            certain_bits: empty.clone(),
             pool,
-            epoch_spine: None,
+            negative_bits: empty,
+            positive_count: 0,
+            candidate: RefCell::new((0, None)),
+            label_ids,
+            label_count,
+            path_ids,
+            classes: None,
             known_positives: 0,
             inconsistent: false,
         }
@@ -355,13 +623,19 @@ impl TwigSession {
             .ok()
     }
 
+    /// The candidate of the current positive epoch, learned once per positive count (so
+    /// callers that record without calling [`Self::propose`] still see the current one).
+    fn current_candidate(&self) -> Ref<'_, Option<TwigQuery>> {
+        if self.candidate.borrow().0 != self.positive_count {
+            let learned = self.learn_shared(&self.positives());
+            *self.candidate.borrow_mut() = (self.positive_count, learned);
+        }
+        Ref::map(self.candidate.borrow(), |(_, query)| query)
+    }
+
     /// The current candidate: the most specific anchored twig consistent with the positives.
     pub fn candidate(&self) -> Option<TwigQuery> {
-        let positives = self.positives();
-        if positives.is_empty() {
-            return None;
-        }
-        self.learn_shared(&positives)
+        self.current_candidate().clone()
     }
 
     /// Status of one node under the current candidate and labels.
@@ -375,27 +649,28 @@ impl TwigSession {
                 };
             }
         }
-        if let Some(candidate) = self.candidate() {
-            if self.eval_selects(&candidate, doc, node) {
+        if let Some(candidate) = &*self.current_candidate() {
+            if self.eval_selects(candidate, doc, node) {
                 return NodeStatus::CertainPositive;
             }
         }
         NodeStatus::Informative
     }
 
-    /// All still-informative nodes, as `(document index, node)` pairs.
+    /// All still-informative nodes, as `(document index, node)` pairs: the from-scratch
+    /// specification of the pool.
     ///
     /// Conservative: excludes labelled nodes and certain positives but does *not* run the
-    /// per-node determined-negative analysis (see [`Self::is_determined_negative`]), which
-    /// [`Self::run`] additionally applies lazily to the nodes the strategy proposes. Callers
-    /// driving a session by hand can apply the same check to skip further questions.
+    /// determined-negative analysis (see [`Self::is_determined_negative`]), which
+    /// [`Self::propose`] applies lazily to the nodes the strategy picks; the differential
+    /// suites pin [`Self::informative_pool`] to this list minus those proven negatives.
     pub fn informative_nodes(&self) -> Vec<(usize, NodeId)> {
-        let candidate = self.candidate();
+        let candidate = self.current_candidate();
         let labelled: BTreeSet<(usize, NodeId)> =
             self.annotations.iter().map(|a| (a.doc, a.node)).collect();
         let mut out = Vec::new();
         for (doc_ix, doc) in self.docs.iter().enumerate() {
-            let certain: Vec<NodeId> = match &candidate {
+            let certain: Vec<NodeId> = match &*candidate {
                 Some(q) => self.eval_select(q, doc_ix),
                 None => Vec::new(),
             };
@@ -422,6 +697,11 @@ impl TwigSession {
         });
         self.labelled_bits[doc].insert(node);
         self.pool[doc].remove(node);
+        if positive {
+            self.positive_count += 1;
+        } else {
+            self.negative_bits[doc].insert(node);
+        }
         self.asked += 1;
     }
 
@@ -448,9 +728,9 @@ impl TwigSession {
     /// Whether the labels collected so far admit a consistent anchored twig (the candidate from
     /// the positives must reject every labelled negative).
     pub fn is_consistent(&self) -> bool {
-        match self.candidate() {
+        match &*self.current_candidate() {
             None => true,
-            Some(q) => self.classifies_all(&q),
+            Some(q) => self.classifies_all(q),
         }
     }
 
@@ -475,6 +755,10 @@ impl TwigSession {
     /// The check is skipped (returns `false`) until at least one positive *and* one negative
     /// label exist: with no positives there is nothing to generalise against, and with no
     /// negatives nothing can contradict.
+    ///
+    /// This per-node check is the specification: it runs the whole filter harvest for the one
+    /// node and shares no state with the class memo. [`Self::propose`] decides the same
+    /// question per extended-spine class ([`Self::is_determined_negative_by_class`]).
     pub fn is_determined_negative(&self, doc: usize, node: NodeId) -> bool {
         let positives = self.positives();
         if positives.is_empty() {
@@ -489,18 +773,10 @@ impl TwigSession {
         if negatives.is_empty() {
             return false;
         }
-        // The fold of the positives' label paths: taken from the per-epoch cache when it is
-        // current (the hot path — `propose` refreshes it on every positive), refolded from
-        // scratch otherwise (callers driving the session by hand between answers).
-        let base_spine = match &self.epoch_spine {
-            Some(spine) if positives.len() == self.known_positives => spine.clone(),
-            _ => {
-                let example_refs: Vec<(&XmlTree, NodeId)> =
-                    positives.iter().map(|&(d, n)| (&self.docs[d], n)).collect();
-                crate::learn::generalised_spine(&example_refs)
-                    .expect("learning from a non-empty example set cannot fail")
-            }
-        };
+        let example_refs: Vec<(&XmlTree, NodeId)> =
+            positives.iter().map(|&(d, n)| (&self.docs[d], n)).collect();
+        let base_spine = crate::learn::generalised_spine(&example_refs)
+            .expect("learning from a non-empty example set cannot fail");
         // One more fold step gives the spine over `positives ∪ {node}`.
         let extended_spine = base_spine.extended(&self.docs[doc], node);
         let spine_only = extended_spine.path_query();
@@ -543,36 +819,114 @@ impl TwigSession {
         hit
     }
 
+    /// The production form of [`Self::is_determined_negative`], equal to it on every node:
+    /// the verdict of `node`'s extended-spine class, with the harvest run once per class and
+    /// positive epoch and split by membership at each try (see the module docs). Branches are
+    /// expanded on demand, and the answers of each branch on the way are checked against the
+    /// negatives labelled so far, so the verdict is current after every answer.
+    pub fn is_determined_negative_by_class(&mut self, doc: usize, node: NodeId) -> bool {
+        if self.positive_count == 0 || self.annotations.len() == self.positive_count {
+            return false;
+        }
+        if self
+            .classes
+            .as_ref()
+            .is_none_or(|memo| memo.positives != self.positive_count)
+        {
+            self.classes = Some(self.spine_classes());
+        }
+        let (docs, indexes, caches) = (&self.docs, &self.indexes, &self.caches);
+        let eval = |query: &TwigQuery| eval_all(docs, indexes, caches, query);
+        let memo = self.classes.as_mut().expect("refreshed above");
+        let class_ix = memo.class_of(
+            self.path_ids[doc][node.index()],
+            (&docs[doc], node),
+            docs,
+            eval,
+        );
+        let class = &mut memo.classes[class_ix];
+        let mut at = 0;
+        loop {
+            let branch = &class.branches[at];
+            // Every query below this branch adds filters, so selects a subset of its answers.
+            let hits_negative = branch
+                .answers
+                .iter()
+                .zip(&self.negative_bits)
+                .any(|(answers, negatives)| answers.intersection_len(negatives) > 0);
+            if !hits_negative {
+                return false;
+            }
+            match branch.next {
+                Next::Leaf => return true,
+                Next::Split { accept, reject } => {
+                    at = if class.branches[accept].answers[doc].contains(node) {
+                        accept
+                    } else {
+                        reject
+                    };
+                }
+                Next::From(from) => class.expand(at, from, &memo.targets, eval),
+            }
+        }
+    }
+
+    /// A fresh class memo for the current positives.
+    fn spine_classes(&self) -> SpineClasses {
+        let positives = self.positives();
+        let example_refs: Vec<(&XmlTree, NodeId)> =
+            positives.iter().map(|&(d, n)| (&self.docs[d], n)).collect();
+        let mut targets = vec![Vec::new(); self.docs.len()];
+        for &(d, n) in &positives {
+            targets[d].push(n);
+        }
+        SpineClasses {
+            positives: self.positive_count,
+            base: crate::learn::generalised_spine(&example_refs)
+                .expect("the memo is only built once a positive exists"),
+            first: positives[0],
+            targets,
+            class_of_path: HashMap::new(),
+            classes: Vec::new(),
+        }
+    }
+
     /// Affinity bonus separating "label matches a known positive" from every depth value in
     /// the informativeness channel (document depths are far below it).
     const AFFINITY_BONUS: f64 = 1e9;
 
-    /// One [`Candidate`] feature row per informative node, aligned with `informative` (which
-    /// is in document order — the model's paper order):
+    /// One [`Candidate`] feature row per pool node, in document order (the model's paper
+    /// order), from the interned label ids:
     ///
     /// * `informativeness` — the label-affinity score (matching a positive label dominates;
     ///   shallower nodes rank higher within each class), exactly the paper-era comparator;
     /// * `cost` — node depth (shallow nodes are cheap for the user to inspect);
-    /// * `coverage` — how many informative nodes share the candidate's label: a proxy for the
+    /// * `coverage` — how many pool nodes share the candidate's label: a proxy for the
     ///   matches one answer determines, since same-labelled nodes under the same spine become
     ///   certain positives (or determined negatives) together once this one is labelled.
-    fn candidate_features(&self, informative: &[(usize, NodeId)]) -> Vec<Candidate> {
-        let positive_labels: BTreeSet<&str> = self
-            .annotations
-            .iter()
-            .filter(|a| a.positive)
-            .map(|a| self.docs[a.doc].label(a.node))
-            .collect();
-        let mut label_counts: BTreeMap<&str, usize> = BTreeMap::new();
-        for &(doc, node) in informative {
-            *label_counts.entry(self.docs[doc].label(node)).or_insert(0) += 1;
+    fn feature_rows(&self) -> FeatureRows {
+        let mut positive_label = vec![false; self.label_count];
+        for a in self.annotations.iter().filter(|a| a.positive) {
+            positive_label[self.label_ids[a.doc][a.node.index()] as usize] = true;
         }
-        informative
+        let len = self.pool.iter().map(DenseSet::len).sum();
+        let mut nodes = Vec::with_capacity(len);
+        let mut labels = Vec::with_capacity(len);
+        let mut label_counts = vec![0; self.label_count];
+        for (doc_ix, pool) in self.pool.iter().enumerate() {
+            for node in pool.iter() {
+                let label = self.label_ids[doc_ix][node.index()];
+                nodes.push((doc_ix, node));
+                labels.push(label);
+                label_counts[label as usize] += 1;
+            }
+        }
+        let rows = nodes
             .iter()
-            .map(|&(doc, node)| {
-                let label = self.docs[doc].label(node);
+            .zip(&labels)
+            .map(|(&(doc, node), &label)| {
                 let depth = self.indexes[doc].depth(node) as f64;
-                let bonus = if positive_labels.contains(label) {
+                let bonus = if positive_label[label as usize] {
                     Self::AFFINITY_BONUS
                 } else {
                     0.0
@@ -580,24 +934,33 @@ impl TwigSession {
                 Candidate {
                     informativeness: bonus - depth,
                     cost: depth,
-                    coverage: label_counts[label] as f64,
+                    coverage: label_counts[label as usize] as f64,
                     specificity: 0.0,
                     prior: 0.0,
                 }
             })
-            .collect()
+            .collect();
+        FeatureRows {
+            nodes,
+            labels,
+            rows,
+            label_counts,
+        }
     }
 
     /// Propose the next node to ask the user about, or `None` when the session is over (every
     /// node is labelled or pruned, or the labels became inconsistent).
     ///
-    /// Each call recomputes the still-informative nodes (pruning certain positives and
-    /// determined negatives) and returns the strategy's preferred one. The candidate — and with
-    /// it the certain-positive set — only changes when a new positive arrives, so it is cached
-    /// per positive-count epoch; determined-negative checks run lazily, only on nodes the
-    /// strategy actually proposes. Callers alternate `propose` and [`Self::record`]: drivers
-    /// serving one question at a time (the `qbe-core` session adapters, the `qbe-server` wire
-    /// protocol) call them round by round, [`Self::run`] loops to completion.
+    /// The candidate — and with it the certain-positive region and the pool — only changes
+    /// when a new positive arrives, so it is refreshed per positive-count epoch. The feature
+    /// rows are built once per call; the strategy then picks among them, and only a picked
+    /// node is checked for a determined negative label, through its extended-spine class
+    /// ([`Self::is_determined_negative_by_class`]). A proven node is pruned (its row removed,
+    /// its label's coverage lowered) and the strategy picks again, so the picks — and a random
+    /// strategy's draws — are exactly those of the per-node rule. Callers alternate `propose`
+    /// and [`Self::record`]: drivers serving one question at a time (the `qbe-core` session
+    /// adapters, the `qbe-server` wire protocol) call them round by round, [`Self::run`] loops
+    /// to completion.
     pub fn propose(&mut self) -> Option<(usize, NodeId)> {
         if self.inconsistent {
             return None;
@@ -605,34 +968,21 @@ impl TwigSession {
         if self.budget.is_some_and(|cap| self.asked >= cap) {
             return None;
         }
-        let positives_now = self.annotations.iter().filter(|a| a.positive).count();
-        if positives_now != self.known_positives {
-            self.known_positives = positives_now;
-            // Refresh the per-epoch caches: the candidate's answer region and the generalised
-            // spine its determined-negative checks extend.
-            let candidate = self.candidate();
-            for doc_ix in 0..self.docs.len() {
-                match &candidate {
-                    Some(q) => {
-                        let bits = self.eval_bits(q, doc_ix);
-                        self.certain_bits[doc_ix] = bits;
-                    }
-                    None => self.certain_bits[doc_ix].clear(),
-                }
-            }
-            let example_refs: Vec<(&XmlTree, NodeId)> = self
-                .annotations
-                .iter()
-                .filter(|a| a.positive)
-                .map(|a| (&self.docs[a.doc], a.node))
-                .collect();
-            self.epoch_spine = crate::learn::generalised_spine(&example_refs).ok();
+        if self.positive_count != self.known_positives {
+            self.known_positives = self.positive_count;
+            // Refresh the candidate's answer region.
+            let certain = match &*self.current_candidate() {
+                Some(q) => eval_all(&self.docs, &self.indexes, &self.caches, q),
+                None => self.docs.iter().map(|d| DenseSet::new(d.size())).collect(),
+            };
+            self.certain_bits = certain;
             // A generalised candidate may have swallowed an earlier negative: the labels no
             // longer admit a consistent anchored twig, matching `is_consistent`.
             if self
-                .annotations
+                .certain_bits
                 .iter()
-                .any(|a| !a.positive && self.certain_bits[a.doc].contains(a.node))
+                .zip(&self.negative_bits)
+                .any(|(certain, negatives)| certain.intersection_len(negatives) > 0)
             {
                 self.inconsistent = true;
                 return None;
@@ -648,28 +998,20 @@ impl TwigSession {
             }
         }
 
-        let mut informative: Vec<(usize, NodeId)> = Vec::new();
-        for (doc_ix, pool) in self.pool.iter().enumerate() {
-            informative.extend(pool.iter().map(|node| (doc_ix, node)));
-        }
-
-        // Consult the pluggable strategy; determined-negative analysis runs lazily, only on
-        // the nodes it actually proposes, and proven-negative nodes are pruned from the pool
-        // before asking again.
+        let mut rows = self.feature_rows();
         loop {
-            let candidates = self.candidate_features(&informative);
             let view = PoolView {
                 asked: self.asked,
-                candidates: &candidates,
+                candidates: &rows.rows,
             };
             let pick_ix = self.strategy.pick(&view)?;
             // An out-of-range pick (a strategy bug, or a deliberate early stop) ends the
             // session rather than panicking the service.
-            let pick = *informative.get(pick_ix)?;
-            if self.is_determined_negative(pick.0, pick.1) {
+            let pick = *rows.nodes.get(pick_ix)?;
+            if self.is_determined_negative_by_class(pick.0, pick.1) {
                 self.determined_bits[pick.0].insert(pick.1);
                 self.pool[pick.0].remove(pick.1);
-                informative.remove(pick_ix);
+                rows.remove(pick_ix);
                 continue;
             }
             return Some(pick);
@@ -708,18 +1050,17 @@ impl TwigSession {
     /// Answer-set size of the current candidate over the whole corpus, through the indexed
     /// evaluator (0 when no positive has been labelled yet).
     pub fn candidate_answer_count(&self) -> usize {
-        match self.candidate() {
+        match &*self.current_candidate() {
             None => 0,
             Some(q) => (0..self.docs.len())
-                .map(|doc_ix| self.eval_select(&q, doc_ix).len())
+                .map(|doc_ix| self.eval_select(q, doc_ix).len())
                 .sum(),
         }
     }
 
     /// Whether the collected labels still admit a consistent anchored twig — the `consistent`
     /// field of [`Self::outcome`] without materialising the whole outcome (callers polling
-    /// consistency per round, like the serving layer, avoid the extra candidate relearn the
-    /// outcome's `query` field would cost).
+    /// consistency per round, like the serving layer, skip cloning the query).
     pub fn consistent(&self) -> bool {
         !self.inconsistent && self.is_consistent()
     }

@@ -60,9 +60,29 @@ pub fn learn_path_from_positives(
 /// session: spine generalisation folds the examples left to right, so the fold over the known
 /// positives can be reused and extended by one more example per candidate node — byte-identical
 /// to refolding from scratch, without the O(|positives|) rework per proposal.
-#[derive(Debug, Clone)]
+///
+/// Equality covers every step's axis, node test and first-example index: two spines that
+/// compare equal yield the same spine query and (for the same first example) the same
+/// [`FilterTry`] list.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct CachedSpine {
     steps: Vec<SpineStep>,
+}
+
+/// One candidate filter of the harvest: `[axis label]` under a spine node of the spine query.
+#[derive(Debug, Clone)]
+pub(crate) struct FilterTry {
+    node: QNodeId,
+    axis: Axis,
+    label: String,
+}
+
+impl FilterTry {
+    /// Add this filter to `query` (a spine query of the spine the try was harvested for, with
+    /// filters added after its spine nodes).
+    pub(crate) fn apply(&self, query: &mut TwigQuery) {
+        query.add_node(self.node, self.axis, NodeTest::label(self.label.as_str()));
+    }
 }
 
 /// Fold the examples' label paths into a [`CachedSpine`].
@@ -86,6 +106,12 @@ impl CachedSpine {
     /// the folded example sequence).
     pub(crate) fn path_query(&self) -> TwigQuery {
         spine_to_query(&self.steps)
+    }
+
+    /// The filters the harvest tries on this spine, in order, when `first` is the first
+    /// example (see [`harvest_filters`]).
+    pub(crate) fn filter_tries(&self, first: (&XmlTree, NodeId)) -> Vec<FilterTry> {
+        filter_tries(first, &self.steps)
     }
 }
 
@@ -157,18 +183,35 @@ pub fn learn_from_positives_shared(
     learn_from_positives_shared_with_spine(&spine, examples, docs, indexes, caches)
 }
 
-/// The filter-harvesting phase over an already generalised spine.
+/// The filter-harvesting phase over an already generalised spine: try each filter of
+/// [`filter_tries`] in order, keeping it when the query still selects every positive.
 fn harvest_filters(
     examples: &[(&XmlTree, NodeId)],
     spine: Vec<SpineStep>,
     selects_all_positives: &mut dyn FnMut(&TwigQuery) -> bool,
 ) -> Result<TwigQuery, TwigLearnError> {
     let mut query = spine_to_query(&spine);
-    let (first_doc, first_node) = examples[0];
-    let first_path = ancestor_path(first_doc, first_node);
+    for filter in filter_tries(examples[0], &spine) {
+        let mut candidate = query.clone();
+        filter.apply(&mut candidate);
+        if selects_all_positives(&candidate) {
+            query = candidate;
+        }
+    }
+    Ok(query)
+}
 
-    // Candidate filters per spine position, harvested from the first example.
-    let spine_ids = query.spine();
+/// The candidate filters of the harvest, in the order it tries them: for each spine step that
+/// still corresponds to an ancestor of the first example, that ancestor's child labels on the
+/// child axis, then the labels seen only among its grandchildren on the descendant axis —
+/// skipping the label that continues the path towards the annotated node (the spine itself).
+fn filter_tries(
+    (first_doc, first_node): (&XmlTree, NodeId),
+    spine: &[SpineStep],
+) -> Vec<FilterTry> {
+    let first_path = ancestor_path(first_doc, first_node);
+    let spine_ids = spine_to_query(spine).spine();
+    let mut tries = Vec::new();
     for (pos, step) in spine.iter().enumerate() {
         let Some(first_ix) = step.first_example_index else {
             continue;
@@ -202,28 +245,24 @@ fn harvest_filters(
             if Some(label) == path_child_label.as_ref() {
                 continue;
             }
-            try_add_filter(
-                &mut query,
-                spine_query_node,
-                Axis::Child,
-                label,
-                selects_all_positives,
-            );
+            tries.push(FilterTry {
+                node: spine_query_node,
+                axis: Axis::Child,
+                label: label.clone(),
+            });
         }
         for label in grandchild_labels {
             if child_labels.contains(&label) || Some(&label) == path_child_label.as_ref() {
                 continue;
             }
-            try_add_filter(
-                &mut query,
-                spine_query_node,
-                Axis::Descendant,
-                &label,
-                selects_all_positives,
-            );
+            tries.push(FilterTry {
+                node: spine_query_node,
+                axis: Axis::Descendant,
+                label,
+            });
         }
     }
-    Ok(query)
+    tries
 }
 
 /// The positive examples regrouped per distinct document, each with its [`NodeIndex`] and
@@ -282,22 +321,6 @@ impl<'a> IndexedExamples<'a> {
             }
         }
         true
-    }
-}
-
-/// Tentatively add the filter `[axis label]` under `node`; keep it only if the query still
-/// selects every positive example.
-fn try_add_filter(
-    query: &mut TwigQuery,
-    node: QNodeId,
-    axis: Axis,
-    label: &str,
-    selects_all_positives: &mut dyn FnMut(&TwigQuery) -> bool,
-) {
-    let mut candidate = query.clone();
-    candidate.add_node(node, axis, NodeTest::label(label));
-    if selects_all_positives(&candidate) {
-        *query = candidate;
     }
 }
 

@@ -21,11 +21,13 @@ use qbe_core::relational::{
     generate_join_instance, interactive_learn, JoinInstanceConfig, Strategy,
 };
 use qbe_core::twig::{
-    interactive_twig_learn, interactive_twig_learn_config, parse_xpath, NodeStrategy,
+    interactive_twig_learn, interactive_twig_learn_config, parse_xpath, GoalNodeOracle, NodeOracle,
+    NodeStrategy, TwigSession,
 };
-use qbe_core::xml::xmark::{generate, XmarkConfig};
-use qbe_core::xml::XmlTree;
+use qbe_core::xml::xmark::{corpus_by_name, generate, XmarkConfig};
+use qbe_core::xml::{NodeIndex, XmlTree};
 use qbe_core::SessionConfig;
+use std::sync::Arc;
 
 fn named(strategy: &str, seed: u64) -> SessionConfig {
     SessionConfig::new()
@@ -67,6 +69,36 @@ fn twig_session_question_counts_are_pinned() {
             "{goal} with {strategy:?} (seed {seed}) changed its question count"
         );
         assert_eq!(outcome.interactions + outcome.pruned, outcome.total_nodes);
+    }
+}
+
+/// Sessions on the served `medium` corpus (the 2,712-node default XMark document) with the
+/// default strategy and seed 1, as a served session runs them: the question count and the
+/// number of nodes the session proves negative instead of asking (most of them while the pool
+/// drains after the last question). Pinned with the per-node determination rule.
+#[test]
+fn medium_twig_sessions_pin_questions_and_determined_negatives() {
+    let docs = Arc::new(corpus_by_name("xmark-default").expect("a named corpus"));
+    let indexes = Arc::new(docs.iter().map(NodeIndex::build).collect::<Vec<_>>());
+    let cases: [(&str, usize, usize); 2] = [
+        ("//closed_auction/price", 84, 2_619),
+        ("//item/name", 874, 1_721),
+    ];
+    for (goal, questions, determined) in cases {
+        let mut oracle = GoalNodeOracle::new(&docs, parse_xpath(goal).unwrap());
+        let mut session =
+            TwigSession::with_config(docs.clone(), indexes.clone(), SessionConfig::new().seed(1));
+        while let Some((doc, node)) = session.propose() {
+            let positive = oracle.label(doc, node);
+            session.record(doc, node, positive);
+        }
+        assert!(session.consistent(), "{goal}");
+        assert_eq!(oracle.questions_asked(), questions, "{goal} question count");
+        assert_eq!(
+            session.determined_negative_nodes().len(),
+            determined,
+            "{goal} determined negatives"
+        );
     }
 }
 
