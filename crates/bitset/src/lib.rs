@@ -260,36 +260,6 @@ impl<T: DenseId> DenseSet<T> {
         self.words.copy_from_slice(&other.words);
     }
 
-    /// The packed `u64` word representation, least-significant bit = id 0. This is the flat
-    /// layout the snapshot store serialises directly; paired with
-    /// [`from_words`](Self::from_words) it round-trips a set without per-member iteration.
-    pub fn words(&self) -> &[u64] {
-        &self.words
-    }
-
-    /// Rebuild a set from its [`words`](Self::words) representation.
-    ///
-    /// The word count must match the universe (`universe.div_ceil(64)` words); bits beyond the
-    /// universe in the tail word are cleared, so a corrupted or hand-built tail can never
-    /// introduce phantom members.
-    ///
-    /// # Panics
-    /// Panics when `words.len() != universe.div_ceil(64)`.
-    pub fn from_words(universe: usize, words: Vec<u64>) -> DenseSet<T> {
-        assert_eq!(
-            words.len(),
-            universe.div_ceil(64),
-            "word count does not match universe {universe}"
-        );
-        let mut set = DenseSet {
-            words,
-            universe,
-            _ids: PhantomData,
-        };
-        set.mask_tail();
-        set
-    }
-
     /// The members, in ascending id order — the same order the sorted representations this
     /// kernel replaces produced.
     pub fn iter(&self) -> impl Iterator<Item = T> + '_ {
@@ -408,26 +378,6 @@ mod tests {
         assert!(s.remove(64));
         assert!(!s.remove(64));
         assert_eq!(s.iter().collect::<Vec<_>>(), vec![0, 129]);
-    }
-
-    #[test]
-    fn words_round_trip_and_mask_phantom_tail_bits() {
-        let mut s: DenseSet = DenseSet::new(70);
-        s.insert(0);
-        s.insert(65);
-        let rebuilt: DenseSet = DenseSet::from_words(70, s.words().to_vec());
-        assert_eq!(rebuilt, s);
-        assert_eq!(rebuilt.iter().collect::<Vec<_>>(), vec![0, 65]);
-        // Garbage bits beyond the universe are cleared, not reported as members.
-        let noisy: DenseSet = DenseSet::from_words(70, vec![0, u64::MAX]);
-        assert_eq!(noisy.len(), 6, "only ids 64..70 survive the tail mask");
-        assert!(!noisy.contains(70));
-    }
-
-    #[test]
-    #[should_panic(expected = "word count")]
-    fn from_words_rejects_mismatched_lengths() {
-        let _: DenseSet = DenseSet::from_words(70, vec![0u64; 3]);
     }
 
     #[test]

@@ -98,70 +98,6 @@ impl GraphIndex {
         }
     }
 
-    /// Reassemble an index from its serialised parts: the interned label table, the per-node
-    /// forward/reverse per-label successor bitsets, the per-label edge counts and the node-label
-    /// sets (what the snapshot store persists). The raw `(label id, target)` adjacency is
-    /// derived by expanding `out_bits`, so parallel edges — which the bitsets collapse by
-    /// design — reappear as a single edge; every evaluator in the workspace consumes the
-    /// collapsed sets, so query answers are unaffected.
-    ///
-    /// # Panics
-    /// Panics when row counts or bitset universes disagree.
-    pub fn from_parts(
-        labels: Vec<String>,
-        out_bits: Vec<Vec<(u32, DenseSet<GNodeId>)>>,
-        in_bits: Vec<Vec<(u32, DenseSet<GNodeId>)>>,
-        label_edge_counts: Vec<usize>,
-        node_label_sets: HashMap<String, DenseSet<GNodeId>>,
-    ) -> GraphIndex {
-        let n = out_bits.len();
-        assert_eq!(in_bits.len(), n, "forward/reverse row counts must agree");
-        assert_eq!(
-            label_edge_counts.len(),
-            labels.len(),
-            "one edge count per interned label"
-        );
-        for row in out_bits.iter().chain(in_bits.iter()) {
-            for (lid, bits) in row {
-                assert!((*lid as usize) < labels.len(), "label id out of range");
-                assert_eq!(bits.universe(), n, "adjacency bitset universe mismatch");
-            }
-        }
-        for bits in node_label_sets.values() {
-            assert_eq!(bits.universe(), n, "node-label bitset universe mismatch");
-        }
-        let label_ids = labels
-            .iter()
-            .enumerate()
-            .map(|(ix, l)| (l.clone(), ix as u32))
-            .collect();
-        let out = out_bits
-            .iter()
-            .map(|row| {
-                row.iter()
-                    .flat_map(|(lid, bits)| bits.iter().map(move |t| (*lid, t)))
-                    .collect()
-            })
-            .collect();
-        GraphIndex {
-            labels,
-            label_ids,
-            out,
-            out_bits,
-            in_bits,
-            label_edge_counts,
-            node_label_sets,
-        }
-    }
-
-    /// Every `(node label, node set)` pair, in arbitrary order — the iteration the snapshot
-    /// writer serialises (sorted by the writer for determinism).
-    pub fn node_label_entries(&self) -> impl Iterator<Item = (&str, &DenseSet<GNodeId>)> {
-        self.node_label_sets
-            .iter()
-            .map(|(label, bits)| (label.as_str(), bits))
-    }
-
     /// Number of indexed nodes.
     pub fn node_count(&self) -> usize {
         self.out.len()
@@ -372,48 +308,6 @@ mod tests {
         assert_eq!(ix.label_edge_count(train), 1);
         assert_eq!(ix.nodes_labelled("city").map(DenseSet::len), Some(4));
         assert!(ix.nodes_labelled("station").is_none());
-    }
-
-    #[test]
-    fn from_parts_round_trips_a_built_index() {
-        let (g, n) = graph();
-        let built = GraphIndex::build(&g);
-        let labels: Vec<String> = (0..built.label_count() as u32)
-            .map(|l| built.label(l).to_string())
-            .collect();
-        let rebuilt = GraphIndex::from_parts(
-            labels,
-            g.node_ids()
-                .map(|v| built.successor_bits(v).to_vec())
-                .collect(),
-            g.node_ids()
-                .map(|v| built.predecessor_bits(v).to_vec())
-                .collect(),
-            (0..built.label_count() as u32)
-                .map(|l| built.label_edge_count(l))
-                .collect(),
-            built
-                .node_label_entries()
-                .map(|(l, b)| (l.to_string(), b.clone()))
-                .collect(),
-        );
-        assert_eq!(rebuilt.node_count(), built.node_count());
-        assert_eq!(rebuilt.label_count(), built.label_count());
-        for v in g.node_ids() {
-            assert_eq!(rebuilt.successor_bits(v), built.successor_bits(v));
-            assert_eq!(rebuilt.predecessor_bits(v), built.predecessor_bits(v));
-            assert_eq!(rebuilt.out_edges(v), built.out_edges(v));
-        }
-        let road = built.label_id("road").unwrap();
-        assert_eq!(rebuilt.label_id("road"), Some(road));
-        assert_eq!(rebuilt.label_edge_count(road), built.label_edge_count(road));
-        assert_eq!(rebuilt.nodes_labelled("city").map(DenseSet::len), Some(4));
-        assert_eq!(
-            rebuilt
-                .predecessor_set(n[2], road)
-                .map(|b| b.iter().collect::<Vec<_>>()),
-            Some(vec![n[1]])
-        );
     }
 
     #[test]

@@ -14,7 +14,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
 use qbe_core::algebra::{ConjQuery, EvalCache, PathAtom, QueryStore, Term as AlgTerm};
-use qbe_core::graph::{eval_conj_tuples, eval_expr_pairs, GNodeId, QueryClass};
+use qbe_core::graph::{eval_conj_tuples, eval_expr_pairs, GNodeId, GraphIndex, QueryClass};
 use qbe_core::twig::interactive::{GoalNodeOracle, NodeOracle};
 use qbe_core::twig::parse_xpath;
 use qbe_core::xml::NodeId;
@@ -337,19 +337,20 @@ pub enum Goal {
 ///   (`π_{x,y}(x —t₀→ y ∧ x —t₁→ y)`).
 pub fn demo_graph_goal_pairs(corpus: &Corpus, class: QueryClass) -> BTreeSet<(GNodeId, GNodeId)> {
     let alphabet = corpus.typed_graph.edge_alphabet();
+    let index = GraphIndex::build(&corpus.typed_graph);
     let mut store = QueryStore::new();
     let mut cache = EvalCache::new();
     match class {
         QueryClass::Rpq => {
             let l = store.label(&alphabet[0]);
             let goal = store.plus(l);
-            eval_expr_pairs(&corpus.typed_index, &store, &mut cache, goal)
+            eval_expr_pairs(&index, &store, &mut cache, goal)
         }
         QueryClass::TwoRpq => {
             let fwd = store.label(&alphabet[0]);
             let inv = store.inv_label(&alphabet[0]);
             let goal = store.concat([fwd, inv]);
-            eval_expr_pairs(&corpus.typed_index, &store, &mut cache, goal)
+            eval_expr_pairs(&index, &store, &mut cache, goal)
         }
         QueryClass::Crpq => {
             let (x, y) = (store.sym("x"), store.sym("y"));
@@ -370,7 +371,7 @@ pub fn demo_graph_goal_pairs(corpus: &Corpus, class: QueryClass) -> BTreeSet<(GN
                 ],
                 vec![x, y],
             );
-            eval_conj_tuples(&corpus.typed_index, &store, &mut cache, &goal)
+            eval_conj_tuples(&index, &store, &mut cache, &goal)
                 .into_iter()
                 .map(|t| (t[0], t[1]))
                 .collect()

@@ -2,25 +2,28 @@
 //! by every connection.
 //!
 //! A learning service over "very large databases" (the paper's motivating setting) cannot
-//! rebuild documents and indexes per user: the whole point of `NodeIndex`/`GraphIndex` is that
-//! they are immutable and `Arc`-shareable. The [`CorpusStore`] realises that: the first
+//! rebuild documents and indexes per user: the whole point of `NodeIndex` is that it is
+//! immutable and `Arc`-shareable. The [`CorpusStore`] realises that: the first
 //! `CORPUS <name>` builds the instance (XMark documents + per-document [`NodeIndex`],
-//! geographical graph + [`GraphIndex`], relation pair); every later request — on any
+//! geographical graph + its typed road view, relation pair); every later request — on any
 //! connection, for any session — receives clones of the same `Arc`s.
 //!
 //! Names are deterministic recipes, not uploads: a client and a test referring to `"tiny"` see
 //! byte-identical data without shipping it over the wire (the XML half is
 //! [`qbe_core::xml::xmark::corpus_by_name`]).
 //!
-//! When the store is given a data directory, each corpus is additionally persisted as a
-//! `corpus-<name>.qbes` snapshot ([`qbe_core::store`]): the first build writes the snapshot,
-//! and every later process opens it instead of regenerating and re-indexing from scratch.
+//! When the store is given a data directory, each corpus's inputs (documents, graph, relation
+//! pair) are additionally persisted as a `corpus-<name>.qbes` snapshot ([`qbe_core::store`]):
+//! the first build writes the snapshot, and every later process opens it instead of
+//! regenerating the inputs. Indexes and the typed view are derived from the inputs by the same
+//! code on both paths, so a loaded corpus cannot carry an index that disagrees with its
+//! documents.
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use qbe_core::graph::{generate_geo_graph, typed_road_view, GeoConfig, GraphIndex, PropertyGraph};
+use qbe_core::graph::{generate_geo_graph, typed_road_view, GeoConfig, PropertyGraph};
 use qbe_core::relational::{generate_join_instance, JoinInstanceConfig, JoinPredicate, Relation};
 use qbe_core::store::{snapshot, CorpusSnapshot, FileBackend, SnapshotReader};
 use qbe_core::xml::xmark::corpus_by_name;
@@ -40,13 +43,9 @@ pub struct Corpus {
     pub indexes: Arc<Vec<NodeIndex>>,
     /// Geographical property graph for path sessions.
     pub graph: Arc<PropertyGraph>,
-    /// Label-interned adjacency of `graph`.
-    pub graph_index: Arc<GraphIndex>,
     /// The typed road view of `graph` (edge label = road type, one direction per road) —
     /// what `graph` model sessions (RPQ/2RPQ/CRPQ) learn over.
     pub typed_graph: Arc<PropertyGraph>,
-    /// Label-interned adjacency of `typed_graph` (with reverse-successor bitsets for `ℓ⁻`).
-    pub typed_index: Arc<GraphIndex>,
     /// Left relation for join sessions.
     pub left: Arc<Relation>,
     /// Right relation for join sessions.
@@ -60,6 +59,23 @@ impl Corpus {
     /// Total XML node count, the denominator twig sessions report against.
     pub fn xml_nodes(&self) -> usize {
         self.docs.iter().map(XmlTree::size).sum()
+    }
+
+    /// The serving form of a corpus's inputs: the node indexes and the typed road view are
+    /// derived here, for a fresh build and a loaded snapshot alike.
+    fn from_inputs(inputs: CorpusSnapshot) -> Corpus {
+        let indexes = inputs.docs.iter().map(NodeIndex::build).collect();
+        let typed_graph = typed_road_view(&inputs.graph);
+        Corpus {
+            name: inputs.name,
+            docs: Arc::new(inputs.docs),
+            indexes: Arc::new(indexes),
+            graph: Arc::new(inputs.graph),
+            typed_graph: Arc::new(typed_graph),
+            left: Arc::new(inputs.left),
+            right: Arc::new(inputs.right),
+            demo_join_goal: inputs.demo_join_goal,
+        }
     }
 }
 
@@ -75,16 +91,6 @@ pub fn build_corpus(name: &str) -> Option<Corpus> {
         "medium" => ("xmark-default", 256, 120),
         _ => return None,
     };
-    let docs = Arc::new(corpus_by_name(xmark).expect("every corpus maps to a named XMark corpus"));
-    let indexes = Arc::new(docs.iter().map(NodeIndex::build).collect::<Vec<_>>());
-    let graph = Arc::new(generate_geo_graph(&GeoConfig {
-        cities,
-        connectivity: 3,
-        ..Default::default()
-    }));
-    let graph_index = Arc::new(GraphIndex::build(&graph));
-    let typed_graph = Arc::new(typed_road_view(&graph));
-    let typed_index = Arc::new(GraphIndex::build(&typed_graph));
     let (left, right, demo_join_goal) = generate_join_instance(&JoinInstanceConfig {
         left_rows: rows,
         right_rows: rows,
@@ -92,18 +98,18 @@ pub fn build_corpus(name: &str) -> Option<Corpus> {
         domain_size: 6,
         seed: 11,
     });
-    Some(Corpus {
+    Some(Corpus::from_inputs(CorpusSnapshot {
         name: name.to_string(),
-        docs,
-        indexes,
-        graph,
-        graph_index,
-        typed_graph,
-        typed_index,
-        left: Arc::new(left),
-        right: Arc::new(right),
+        docs: corpus_by_name(xmark).expect("every corpus maps to a named XMark corpus"),
+        graph: generate_geo_graph(&GeoConfig {
+            cities,
+            connectivity: 3,
+            ..Default::default()
+        }),
+        left,
+        right,
         demo_join_goal,
-    })
+    }))
 }
 
 /// Why a corpus request failed.
@@ -116,36 +122,22 @@ pub enum CorpusError {
     Load(String),
 }
 
-/// Convert a [`Corpus`] (Arc-shared) into its owned, serialisable snapshot form.
+/// The owned, serialisable inputs of a [`Corpus`] (Arc-shared); derived data is left out.
 pub fn corpus_to_snapshot(c: &Corpus) -> CorpusSnapshot {
     CorpusSnapshot {
         name: c.name.clone(),
         docs: (*c.docs).clone(),
-        indexes: (*c.indexes).clone(),
         graph: (*c.graph).clone(),
-        graph_index: (*c.graph_index).clone(),
-        typed_graph: (*c.typed_graph).clone(),
-        typed_index: (*c.typed_index).clone(),
         left: (*c.left).clone(),
         right: (*c.right).clone(),
         demo_join_goal: c.demo_join_goal.clone(),
     }
 }
 
-/// Wrap a decoded snapshot's substrates back into the Arc-shared serving form.
+/// Rebuild the Arc-shared serving form from a decoded snapshot's inputs, deriving the node
+/// indexes and the typed road view exactly as [`build_corpus`] does.
 pub fn snapshot_to_corpus(s: CorpusSnapshot) -> Corpus {
-    Corpus {
-        name: s.name,
-        docs: Arc::new(s.docs),
-        indexes: Arc::new(s.indexes),
-        graph: Arc::new(s.graph),
-        graph_index: Arc::new(s.graph_index),
-        typed_graph: Arc::new(s.typed_graph),
-        typed_index: Arc::new(s.typed_index),
-        left: Arc::new(s.left),
-        right: Arc::new(s.right),
-        demo_join_goal: s.demo_join_goal,
-    }
+    Corpus::from_inputs(s)
 }
 
 /// The snapshot file a corpus persists to inside a data directory.
@@ -337,9 +329,46 @@ mod tests {
         assert_eq!(loaded.demo_join_goal, built.demo_join_goal);
         assert_eq!(loaded.graph.node_count(), built.graph.node_count());
         assert_eq!(
-            loaded.typed_index.label_count(),
-            built.typed_index.label_count()
+            loaded.typed_graph.edge_alphabet(),
+            built.typed_graph.edge_alphabet()
         );
+        assert_eq!(loaded.indexes.len(), built.indexes.len());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn snapshot_with_retired_derived_sections_still_opens() {
+        use qbe_core::store::corpus::section;
+        use qbe_core::store::SnapshotWriter;
+
+        let dir = temp_data_dir("retired");
+        let built = CorpusStore::with_dir(Some(dir.clone()))
+            .get_or_load("tiny")
+            .unwrap();
+        let path = snapshot_path(&dir, "tiny");
+        // Lay the file out as earlier snapshots did: the four input sections in kind order,
+        // with the retired kinds 3, 5, 6 and 7 (once indexes and the typed view) between them.
+        let reader = SnapshotReader::open(FileBackend::open(&path).unwrap()).unwrap();
+        let mut writer = SnapshotWriter::new();
+        for kind in 1..=8u32 {
+            let payload = match kind {
+                section::META | section::DOCS | section::GRAPH | section::RELATIONS => {
+                    reader.read_section(kind).unwrap()
+                }
+                retired => vec![retired as u8; 64 + retired as usize],
+            };
+            writer.section(kind, payload);
+        }
+        drop(reader);
+        snapshot::write_atomic(&path, &writer.finish()).unwrap();
+
+        let loaded = CorpusStore::with_dir(Some(dir.clone()))
+            .get_or_load("tiny")
+            .unwrap();
+        assert_eq!(*loaded.docs, *built.docs);
+        assert_eq!(loaded.indexes.len(), built.indexes.len());
+        assert_eq!(loaded.graph.edge_count(), built.graph.edge_count());
+        assert_eq!(loaded.left.tuples(), built.left.tuples());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -393,7 +422,9 @@ mod tests {
         assert!(c.xml_nodes() > 50, "XMark tiny is small but not trivial");
         assert!(c.graph.node_count() >= 10);
         assert!(!c.left.is_empty() && !c.right.is_empty());
-        assert_eq!(c.graph_index.node_count(), c.graph.node_count());
+        for (doc, index) in c.docs.iter().zip(c.indexes.iter()) {
+            assert_eq!(index.node_count(), doc.size());
+        }
         assert_eq!(c.typed_graph.node_count(), c.graph.node_count());
         assert_eq!(c.typed_graph.edge_count() * 2, c.graph.edge_count());
         assert!(c.typed_graph.edge_alphabet().len() > 1);

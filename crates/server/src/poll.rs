@@ -1,26 +1,28 @@
 //! Tiny FFI shim over the OS readiness APIs: `epoll` on Linux, `poll(2)` elsewhere.
 //!
 //! The build environment has no crates registry, so there is no `libc`/`mio` to lean on.
-//! This module declares the half-dozen C symbols the event-driven engine needs (they are
-//! already linked — std links the platform libc) and wraps them in a safe, deliberately
-//! minimal [`Poller`] API: register/modify/deregister a file descriptor under a `u64` token,
-//! wait for readiness with a timeout. All `unsafe` in the crate lives here, behind
-//! invariants small enough to state inline:
+//! This module declares the few C symbols std has no wrapper for (they are already linked —
+//! std links the platform libc) and wraps them in a safe, deliberately minimal [`Poller`]
+//! API: register/modify/deregister a file descriptor under a `u64` token, wait for readiness
+//! with a timeout. All `unsafe` in the crate lives here, behind invariants small enough to
+//! state inline:
 //!
 //! * every registered fd outlives its registration (the reactor owns the socket and
 //!   deregisters before dropping it);
 //! * buffers passed to the kernel are local, correctly sized, and never retained.
 //!
-//! [`Waker`] is the classic self-pipe: worker threads write one byte to a nonblocking pipe
-//! whose read end is registered in the poller, waking the reactor from `wait` without
-//! touching any of its state.
+//! [`Waker`] is the classic self-pipe, built on std's `UnixStream::pair`: worker threads
+//! write one byte to a nonblocking socket whose peer is registered in the poller, waking the
+//! reactor from `wait` without touching any of its state.
 #![allow(unsafe_code)]
 
-use std::io;
-use std::os::fd::{AsRawFd, FromRawFd, OwnedFd, RawFd};
+use std::io::{self, Read, Write};
+use std::os::fd::{AsRawFd, RawFd};
+use std::os::unix::net::UnixStream;
+use std::sync::Arc;
 use std::time::Duration;
 
-use std::os::raw::{c_int, c_void};
+use std::os::raw::c_int;
 
 /// One readiness event out of [`Poller::wait`].
 #[derive(Debug, Clone, Copy)]
@@ -54,6 +56,7 @@ fn timeout_ms(timeout: Option<Duration>) -> c_int {
 mod sys {
     //! Linux backend: `epoll`, O(1) per wait in the number of idle connections.
     use super::*;
+    use std::os::fd::{FromRawFd, OwnedFd};
 
     // The kernel ABI packs `struct epoll_event` on x86; other architectures use natural
     // alignment. Mirrors glibc's `__EPOLL_PACKED`.
@@ -309,59 +312,26 @@ mod sys {
 pub use sys::Poller;
 
 extern "C" {
-    fn pipe(fds: *mut c_int) -> c_int;
-    fn fcntl(fd: c_int, cmd: c_int, arg: c_int) -> c_int;
-    fn read(fd: c_int, buf: *mut c_void, count: usize) -> isize;
-    fn write(fd: c_int, buf: *const c_void, count: usize) -> isize;
     fn getrlimit(resource: c_int, rlim: *mut RLimit) -> c_int;
     fn setrlimit(resource: c_int, rlim: *const RLimit) -> c_int;
 }
 
-const F_GETFL: c_int = 3;
-const F_SETFL: c_int = 4;
-#[cfg(target_os = "linux")]
-const O_NONBLOCK: c_int = 0o4000;
-#[cfg(not(target_os = "linux"))]
-const O_NONBLOCK: c_int = 0x0004;
-
-fn set_nonblocking_fd(fd: RawFd) -> io::Result<()> {
-    // SAFETY: fcntl on an fd we own; no pointers involved.
-    unsafe {
-        let flags = fcntl(fd, F_GETFL, 0);
-        if flags < 0 || fcntl(fd, F_SETFL, flags | O_NONBLOCK) < 0 {
-            return Err(io::Error::last_os_error());
-        }
-    }
-    Ok(())
-}
-
-/// The read half of a [`Waker`] pipe; the reactor registers its fd and drains it on wakeup.
+/// The read half of a [`Waker`] pair; the reactor registers its fd and drains it on wakeup.
 pub struct WakeReader {
-    fd: OwnedFd,
+    stream: UnixStream,
 }
 
 impl WakeReader {
     /// The fd to register in the [`Poller`].
     pub fn raw_fd(&self) -> RawFd {
-        self.fd.as_raw_fd()
+        self.stream.as_raw_fd()
     }
 
     /// Discard all pending wake bytes (level-triggered pollers would otherwise re-report).
     pub fn drain(&self) {
         let mut buf = [0u8; 64];
-        loop {
-            // SAFETY: `buf` is a live local array; `read` writes at most its length.
-            let n = unsafe {
-                read(
-                    self.fd.as_raw_fd(),
-                    buf.as_mut_ptr() as *mut c_void,
-                    buf.len(),
-                )
-            };
-            if n <= 0 {
-                break; // empty (EAGAIN), closed, or error — nothing left to drain
-            }
-        }
+        // Empty (`WouldBlock`), closed, or error: nothing left to drain.
+        while matches!((&self.stream).read(&mut buf), Ok(n) if n > 0) {}
     }
 }
 
@@ -369,33 +339,25 @@ impl WakeReader {
 /// the reactor's [`Poller::wait`]. Cheap, cloneable, `Send + Sync`, never blocks.
 #[derive(Clone)]
 pub struct Waker {
-    fd: std::sync::Arc<OwnedFd>,
+    stream: Arc<UnixStream>,
 }
 
 impl Waker {
-    /// Wake the reactor. A full pipe means a wakeup is already pending — success either way.
+    /// Wake the reactor. A full buffer means a wakeup is already pending — success either way.
     pub fn wake(&self) {
-        let byte = [1u8];
-        // SAFETY: one-byte write from a live local buffer into an owned fd.
-        let _ = unsafe { write(self.fd.as_raw_fd(), byte.as_ptr() as *const c_void, 1) };
+        let _ = (&*self.stream).write(&[1]);
     }
 }
 
 /// A connected nonblocking self-pipe: `(read_half, write_half)`.
 pub fn waker_pair() -> io::Result<(WakeReader, Waker)> {
-    let mut fds: [c_int; 2] = [-1, -1];
-    // SAFETY: `fds` is a live 2-element array, exactly what `pipe` fills.
-    if unsafe { pipe(fds.as_mut_ptr()) } < 0 {
-        return Err(io::Error::last_os_error());
-    }
-    // SAFETY: both fds are freshly created and unowned; OwnedFd takes over closing them.
-    let (r, w) = unsafe { (OwnedFd::from_raw_fd(fds[0]), OwnedFd::from_raw_fd(fds[1])) };
-    set_nonblocking_fd(r.as_raw_fd())?;
-    set_nonblocking_fd(w.as_raw_fd())?;
+    let (r, w) = UnixStream::pair()?;
+    r.set_nonblocking(true)?;
+    w.set_nonblocking(true)?;
     Ok((
-        WakeReader { fd: r },
+        WakeReader { stream: r },
         Waker {
-            fd: std::sync::Arc::new(w),
+            stream: Arc::new(w),
         },
     ))
 }

@@ -795,7 +795,9 @@ pub(crate) fn build_learner(
             )))
         }
         Model::Graph => {
-            let config = session_config(params, "halving", |_, _| None)?;
+            let config = session_config(params, "halving", |name, seed| {
+                (name == "halving").then(|| PathStrategy::Halving.strategy(seed))
+            })?;
             let class = match param(params, "class") {
                 None => QueryClass::Rpq,
                 Some(name) => QueryClass::parse(name)
@@ -934,6 +936,13 @@ mod tests {
         let graph =
             build_learner(&corpus, Model::Graph, &[("class".into(), "2rpq".into())]).unwrap();
         assert_eq!(graph.kind(), "graph");
+        let halving = build_learner(
+            &corpus,
+            Model::Graph,
+            &[("strategy".into(), "halving".into())],
+        )
+        .expect("graph sessions accept the halving strategy they list");
+        assert_eq!(halving.strategy(), "halving");
         assert!(
             build_learner(&corpus, Model::Graph, &[]).is_ok(),
             "class defaults to rpq"

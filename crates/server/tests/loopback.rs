@@ -596,3 +596,51 @@ fn resume_reattaches_a_session_across_connections() {
     );
     handle.shutdown();
 }
+
+#[test]
+fn snapshot_booted_and_freshly_built_corpora_serve_identical_sessions() {
+    use qbe_core::graph::QueryClass;
+    use qbe_server::corpus::{corpus_to_snapshot, snapshot_path};
+
+    // A data directory holding a `tiny` snapshot written before the server starts, as a
+    // previous process would have left it.
+    let dir = std::env::temp_dir().join(format!("qbe-loopback-snapshot-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = snapshot_path(&dir, "tiny");
+    let bytes = corpus_to_snapshot(&build_corpus("tiny").unwrap()).encode();
+    qbe_core::store::snapshot::write_atomic(&path, &bytes).unwrap();
+
+    let from_snapshot = spawn(ServerConfig {
+        data_dir: Some(dir.clone()),
+        ..ServerConfig::default()
+    })
+    .expect("binding 127.0.0.1:0 succeeds");
+    let built = test_server();
+
+    let goals: [(Goal, &[(&str, &str)]); 7] = [
+        (Goal::Twig("//person/name".into()), &[("seed", "7")]),
+        (Goal::Twig("//item/name".into()), &[]),
+        (Goal::PathRoadType("highway".into()), &[("to", "city3")]),
+        (Goal::Join, &[]),
+        (Goal::GraphPairs(QueryClass::Rpq), &[("seed", "7")]),
+        (Goal::GraphPairs(QueryClass::TwoRpq), &[("seed", "7")]),
+        (Goal::GraphPairs(QueryClass::Crpq), &[("seed", "7")]),
+    ];
+    for (goal, params) in &goals {
+        let loaded = drive_goal_session(from_snapshot.addr(), "tiny", goal, params).unwrap();
+        let fresh = drive_goal_session(built.addr(), "tiny", goal, params).unwrap();
+        assert!(loaded.consistent && fresh.consistent, "{goal:?}");
+        assert_eq!(loaded.questions, fresh.questions, "{goal:?}");
+        assert_eq!(loaded.hypothesis, fresh.hypothesis, "{goal:?}");
+        assert_eq!(loaded.answer_set_size, fresh.answer_set_size, "{goal:?}");
+    }
+    assert_eq!(
+        std::fs::read(&path).unwrap(),
+        bytes,
+        "the server opened the snapshot instead of rewriting it"
+    );
+
+    from_snapshot.shutdown();
+    built.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}

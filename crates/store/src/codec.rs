@@ -212,11 +212,6 @@ impl<'a> Dec<'a> {
             .map_err(|_| StoreError::Corrupt(format!("invalid UTF-8 in string of {len} bytes")))
     }
 
-    /// Read `n` raw bytes.
-    pub fn raw(&mut self, n: usize) -> Result<&'a [u8], StoreError> {
-        self.take(n)
-    }
-
     /// Assert the whole payload was consumed — trailing garbage is corruption, not padding.
     pub fn finish(self) -> Result<(), StoreError> {
         if self.remaining() != 0 {

@@ -2,12 +2,13 @@
 //!
 //! The serving tier (`qbe-server`) holds two kinds of state worth surviving a restart:
 //!
-//! * **Corpora** — immutable, expensively built index bundles (XMark documents with their
-//!   [`qbe_xml::NodeIndex`]es, property graphs with their [`qbe_graph::GraphIndex`]es, the
-//!   relational pair). [`snapshot`] serialises them into a flat, little-endian binary with a
-//!   versioned + checksummed header and a per-section table, behind a [`backend::Backend`]
-//!   trait (in-memory and file-backed), so a server opens a named corpus from disk in
-//!   O(sections touched) instead of regenerating and re-indexing it.
+//! * **Corpora** — the inputs a serving corpus is built from (XMark documents, the
+//!   geographical property graph, the relational pair). [`corpus`] lays them into a
+//!   [`snapshot`]: a flat, little-endian binary with a versioned + checksummed header and a
+//!   per-section table, behind a [`backend::Backend`] trait (in-memory and file-backed), so a
+//!   server opens a named corpus from disk instead of regenerating it. Indexes and other
+//!   derived views are not persisted: the server rebuilds them from the decoded inputs, so
+//!   each index layout is known only by the crate that owns it.
 //! * **Sessions** — seed-deterministic interactive learners. [`wal`] is an append-only,
 //!   fsync-batched log of session lifecycle events (`START` parameters, each `ANSWER` label,
 //!   `QUIT`) with per-record checksums and torn-tail truncation; because learners are

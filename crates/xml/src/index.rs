@@ -92,70 +92,11 @@ impl NodeIndex {
         }
     }
 
-    /// Reassemble an index from its serialised parts: the per-label posting bitsets plus the
-    /// flat preorder/depth/parent arrays (what the snapshot store persists). The sorted posting
-    /// lists and the all-nodes bitset are derived, so the parts are exactly the flat,
-    /// mmap-friendly payload — no redundant encoding.
-    ///
-    /// # Panics
-    /// Panics when the array lengths or bitset universes disagree — mixing parts from
-    /// different documents is a logic error, the same contract as [`build`](Self::build).
-    pub fn from_parts(
-        postings_bits: HashMap<String, DenseSet<NodeId>>,
-        pre: Vec<u32>,
-        subtree_end: Vec<u32>,
-        depth: Vec<u32>,
-        parent: Vec<Option<NodeId>>,
-    ) -> NodeIndex {
-        let n = pre.len();
-        assert!(
-            subtree_end.len() == n && depth.len() == n && parent.len() == n,
-            "index arrays must agree on the node count"
-        );
-        for bits in postings_bits.values() {
-            assert_eq!(bits.universe(), n, "posting bitset universe mismatch");
-        }
-        let postings = postings_bits
-            .iter()
-            .map(|(label, bits)| (label.clone(), bits.iter().collect()))
-            .collect();
-        NodeIndex {
-            postings,
-            postings_bits,
-            all_bits: DenseSet::full(n),
-            pre,
-            subtree_end,
-            depth,
-            parent,
-        }
-    }
-
-    /// Every `(label, posting bitset)` pair, in arbitrary order — the iteration the snapshot
-    /// writer serialises (sorting by label for determinism is the writer's business).
+    /// Every `(label, posting bitset)` pair, in arbitrary order.
     pub fn posting_entries(&self) -> impl Iterator<Item = (&str, &DenseSet<NodeId>)> {
         self.postings_bits
             .iter()
             .map(|(label, bits)| (label.as_str(), bits))
-    }
-
-    /// The flat preorder-rank array (`pre[node index]`).
-    pub fn pre_ranks(&self) -> &[u32] {
-        &self.pre
-    }
-
-    /// The flat subtree-interval-end array, paired with [`pre_ranks`](Self::pre_ranks).
-    pub fn subtree_ends(&self) -> &[u32] {
-        &self.subtree_end
-    }
-
-    /// The flat depth array (root is 0).
-    pub fn depths(&self) -> &[u32] {
-        &self.depth
-    }
-
-    /// The flat parent array (`None` for the root).
-    pub fn parents(&self) -> &[Option<NodeId>] {
-        &self.parent
     }
 
     /// Number of indexed nodes.
@@ -299,38 +240,6 @@ mod tests {
             assert_eq!((hi - lo) as usize, t.descendants(node).len() + 1);
         }
         assert_eq!(ix.subtree_interval(XmlTree::ROOT), (0, t.size() as u32));
-    }
-
-    #[test]
-    fn from_parts_round_trips_a_built_index() {
-        let t = sample();
-        let built = NodeIndex::build(&t);
-        let rebuilt = NodeIndex::from_parts(
-            built
-                .posting_entries()
-                .map(|(l, b)| (l.to_string(), b.clone()))
-                .collect(),
-            built.pre_ranks().to_vec(),
-            built.subtree_ends().to_vec(),
-            built.depths().to_vec(),
-            built.parents().to_vec(),
-        );
-        assert_eq!(rebuilt.node_count(), built.node_count());
-        assert_eq!(rebuilt.label_count(), built.label_count());
-        for label in t.alphabet() {
-            assert_eq!(rebuilt.postings(&label), built.postings(&label));
-            assert_eq!(
-                rebuilt.postings_bits(&label),
-                built.postings_bits(&label),
-                "{label}"
-            );
-        }
-        assert_eq!(rebuilt.all_bits(), built.all_bits());
-        for node in t.node_ids() {
-            assert_eq!(rebuilt.subtree_interval(node), built.subtree_interval(node));
-            assert_eq!(rebuilt.depth(node), built.depth(node));
-            assert_eq!(rebuilt.parent(node), built.parent(node));
-        }
     }
 
     #[test]
