@@ -34,7 +34,7 @@ fn bench_twig_strategies(c: &mut Criterion) {
         let mut learner =
             TwigInteractive::with_config(docs.clone(), indexes.clone(), config(strategy, 7))
                 .with_goal(goal.clone());
-        let report = drive(strategy, &mut learner);
+        let report = drive(&mut learner);
         println!(
             "strategies/twig_xmark/{strategy}: {} questions",
             report.questions
@@ -50,7 +50,7 @@ fn bench_twig_strategies(c: &mut Criterion) {
                         config(strategy, 7),
                     )
                     .with_goal(goal.clone());
-                    drive(strategy, &mut learner)
+                    drive(&mut learner)
                 })
             },
         );
@@ -77,7 +77,7 @@ fn bench_path_strategies(c: &mut Criterion) {
         let mut learner =
             PathInteractive::with_config(graph.clone(), from, to, 8, config(strategy, 5))
                 .with_goal(goal.clone());
-        let report = drive(strategy, &mut learner);
+        let report = drive(&mut learner);
         println!(
             "strategies/path_geo/{strategy}: {} questions",
             report.questions
@@ -95,7 +95,7 @@ fn bench_path_strategies(c: &mut Criterion) {
                         config(strategy, 5),
                     )
                     .with_goal(goal.clone());
-                    drive(strategy, &mut learner)
+                    drive(&mut learner)
                 })
             },
         );
@@ -126,7 +126,7 @@ fn bench_join_strategies(c: &mut Criterion) {
                         config(strategy, 11),
                     )
                     .with_goal(goal.clone());
-                    drive(strategy, &mut learner)
+                    drive(&mut learner)
                 })
             },
         );

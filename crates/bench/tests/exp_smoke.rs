@@ -40,7 +40,6 @@ const EXPERIMENTS: &[(&str, &str)] = &[
         env!("CARGO_BIN_EXE_exp_twig_consistency"),
     ),
     ("exp_twig_examples", env!("CARGO_BIN_EXE_exp_twig_examples")),
-    ("exp_workload", env!("CARGO_BIN_EXE_exp_workload")),
     ("exp_xpathmark", env!("CARGO_BIN_EXE_exp_xpathmark")),
     // Not an exp_* table generator but held to the same bar: `qbe-server --smoke` serves one
     // session per model over loopback and self-checks the outcome.

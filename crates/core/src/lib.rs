@@ -8,13 +8,9 @@
 //! benchmarks) can depend on a single crate.
 //!
 //! * [`session`] — the object-safe [`InteractiveLearner`] trait, the one driving loop
-//!   [`drive`], and owned adapters for twig/path/join/graph-query sessions, so a registry (the
-//!   `qbe-server` network service, the workload driver) can hold heterogeneous sessions as
-//!   homogeneous boxed trait objects;
-//! * [`workload`] — the concurrent multi-session driver: a [`SessionPool`] runs many
-//!   interactive sessions over `std::thread` against shared immutable indexes, scheduled
-//!   shortest-expected-work first, and aggregates throughput/percentile metrics (overall and
-//!   per question-selection strategy);
+//!   [`drive`] with its [`SessionReport`], the nearest-rank [`percentile_sorted`], and owned
+//!   adapters for twig/path/join/graph-query sessions, so a registry (the `qbe-server`
+//!   network service) can hold heterogeneous sessions as homogeneous boxed trait objects;
 //! * [`noise`] — the noisy user: the seeded k-vote [`MajorityVote`] and the exact binomial
 //!   bounds that choose `k` ([`votes_for_session`], [`NoisyPacPlan`]);
 //! * [`strategy`] — re-export of `qbe-strategy`: the model-agnostic, object-safe
@@ -45,18 +41,13 @@
 
 pub mod noise;
 pub mod session;
-pub mod workload;
 
 pub use noise::{
     majority_error_bound, majority_votes_needed, votes_for_session, MajorityVote, NoisyPacPlan,
 };
 pub use session::{
-    drive, GraphQueryInteractive, InteractiveLearner, JoinInteractive, PathInteractive, Question,
-    SessionError, TwigInteractive,
-};
-pub use workload::{
-    percentile, percentile_sorted, SessionJob, SessionPool, SessionReport, StrategyAggregate,
-    WorkloadMetrics,
+    drive, percentile_sorted, GraphQueryInteractive, InteractiveLearner, JoinInteractive,
+    PathInteractive, Question, SessionError, SessionReport, TwigInteractive,
 };
 
 /// Re-export of the dense-bitset match-set kernel (`qbe-bitset`): [`bitset::DenseSet`]

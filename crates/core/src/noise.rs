@@ -294,7 +294,7 @@ mod tests {
                 .with_goal(goal.clone())
         };
         let mut clean = session();
-        let clean_report = drive("clean", &mut clean);
+        let clean_report = drive(&mut clean);
 
         let k = votes_for_session(0.2, 0.01, clean.session().candidate_count());
         let mut vote = MajorityVote::new(0.2, k, 13);

@@ -5,9 +5,8 @@
 //! owned (`'static`), `Send` session: it proposes membership [`Question`]s one at a time,
 //! absorbs yes/no answers, and can always render its current hypothesis and the size of that
 //! hypothesis's answer set. Homogeneous `Box<dyn InteractiveLearner>`s are what make a
-//! multi-tenant session registry possible — the `qbe-server` wire protocol and the
-//! [`SessionPool`](crate::workload::SessionPool) workload driver both speak this trait instead
-//! of duplicating one driving loop per model.
+//! multi-tenant session registry possible: the `qbe-server` wire protocol speaks this trait
+//! instead of duplicating one driving loop per model.
 //!
 //! Four adapters wrap the concrete sessions:
 //!
@@ -30,9 +29,7 @@
 use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::Arc;
-use std::time::Duration;
 
-use crate::workload::SessionReport;
 use qbe_graph::{
     GNodeId, PathConstraint, PathSession, PathStrategy, PropertyGraph, QueryClass, QuerySession,
 };
@@ -110,7 +107,7 @@ pub trait InteractiveLearner: Send {
     fn kind(&self) -> &'static str;
 
     /// The name of the session's question-selection strategy
-    /// ([`qbe_strategy::Strategy::name`]) — what per-strategy workload aggregates group by.
+    /// ([`qbe_strategy::Strategy::name`]) — what per-strategy experiment rows group by.
     fn strategy(&self) -> &str {
         ""
     }
@@ -156,16 +153,29 @@ pub trait InteractiveLearner: Send {
     fn done(&self) -> bool;
 }
 
-/// Drive a session to completion using its embedded goal oracle and report it in
-/// [`SessionPool`](crate::workload::SessionPool) vocabulary.
+/// What one session driven to completion by [`drive`] reports.
+#[derive(Debug, Clone)]
+pub struct SessionReport {
+    /// Name of the question-selection strategy the session consulted
+    /// ([`qbe_strategy::Strategy::name`]; empty when unknown).
+    pub strategy: String,
+    /// Number of oracle questions the session asked.
+    pub questions: usize,
+    /// Items whose label the session inferred without asking.
+    pub inferred: usize,
+    /// Whether the session completed successfully (learned a consistent hypothesis).
+    pub success: bool,
+}
+
+/// Drive a session to completion using its embedded goal oracle.
 ///
-/// This is *the* session-driving loop — the workload experiments, benches and smoke tests all
-/// call it instead of hand-rolling one loop per model.
+/// This is *the* session-driving loop — the experiments, benches and smoke tests all call it
+/// instead of hand-rolling one loop per model.
 ///
 /// # Panics
 ///
 /// Panics when the learner has no embedded goal (there is nobody to answer the questions).
-pub fn drive(label: impl Into<String>, learner: &mut dyn InteractiveLearner) -> SessionReport {
+pub fn drive(learner: &mut dyn InteractiveLearner) -> SessionReport {
     while learner.propose_pending() {
         let positive = learner
             .oracle_answer()
@@ -175,13 +185,23 @@ pub fn drive(label: impl Into<String>, learner: &mut dyn InteractiveLearner) -> 
             .expect("a question was just proposed");
     }
     SessionReport {
-        label: label.into(),
         strategy: learner.strategy().to_string(),
         questions: learner.questions(),
         inferred: learner.inferred(),
         success: learner.consistent() && learner.hypothesis().is_some(),
-        wall: Duration::ZERO, // measured by the caller (the pool worker)
     }
+}
+
+/// The `p`-th percentile (`p` clamped to 0–100) of an ascending slice by the nearest-rank
+/// method: the smallest value such that at least `p`% of the values are no larger. `None`
+/// for an empty slice; rank 0 (p = 0) maps to the minimum.
+pub fn percentile_sorted(sorted: &[usize], p: f64) -> Option<usize> {
+    if sorted.is_empty() {
+        return None;
+    }
+    let p = p.clamp(0.0, 100.0);
+    let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
+    Some(sorted[rank.saturating_sub(1)])
 }
 
 /// The ask/answer state every adapter shares: the item the pending question asks about, and
@@ -780,9 +800,23 @@ mod tests {
     }
 
     #[test]
+    fn percentile_nearest_rank() {
+        let v = [15, 20, 35, 40, 50];
+        assert_eq!(percentile_sorted(&v, 5.0), Some(15));
+        assert_eq!(percentile_sorted(&v, 30.0), Some(20));
+        assert_eq!(percentile_sorted(&v, 40.0), Some(20));
+        assert_eq!(percentile_sorted(&v, 50.0), Some(35));
+        assert_eq!(percentile_sorted(&v, 95.0), Some(50));
+        assert_eq!(percentile_sorted(&v, 100.0), Some(50));
+        assert_eq!(percentile_sorted(&v, 0.0), Some(15));
+        assert_eq!(percentile_sorted(&[], 50.0), None);
+        assert_eq!(percentile_sorted(&[7], 99.0), Some(7));
+    }
+
+    #[test]
     fn twig_adapter_drives_to_the_goal() {
         let mut learner = twig_learner();
-        let report = drive("t", &mut learner);
+        let report = drive(&mut learner);
         assert!(report.success);
         assert!(learner.done());
         assert_eq!(report.questions, learner.questions());
@@ -834,7 +868,7 @@ mod tests {
         };
         let mut learner = PathInteractive::new(graph, from, to, 6, PathStrategy::Halving, 5)
             .with_goal(goal.clone());
-        let report = drive("p", &mut learner);
+        let report = drive(&mut learner);
         assert!(report.success);
         let hypothesis = learner.hypothesis().expect("path sessions always have one");
         assert!(hypothesis.contains("highway"), "{hypothesis}");
@@ -866,7 +900,7 @@ mod tests {
             GraphQueryInteractive::new(typed, QueryClass::Rpq, 7).with_goal(goal.clone());
         let q = learner.propose().expect("an informative pair");
         assert!(q.field("source").is_some() && q.field("target_id").is_some());
-        let report = drive("g", &mut learner);
+        let report = drive(&mut learner);
         assert!(report.success);
         assert_eq!(learner.kind(), "graph");
         assert_eq!(learner.session().learned().1, goal);
@@ -890,7 +924,7 @@ mod tests {
         let mut learner =
             JoinInteractive::new(left.clone(), right.clone(), Strategy::HalveLattice, 9)
                 .with_goal(goal.clone());
-        let report = drive("j", &mut learner);
+        let report = drive(&mut learner);
         assert!(report.success);
         assert_eq!(
             selected_pairs(&left, &right, &learner.session().current_hypothesis()),

@@ -4,7 +4,7 @@
 //! and parsing one reply. [`drive_goal_session`] layers the *simulated user* on top: it answers
 //! the server's questions according to a hidden goal evaluated client-side (rebuilding the
 //! named corpus locally — corpora are deterministic recipes, see [`crate::corpus`]), which is
-//! exactly what the loopback integration tests, the `server_throughput` bench and the binary's
+//! exactly what the loopback integration tests, the `server_soak` bench and the binary's
 //! `--smoke` mode need. A real deployment replaces this layer with a human.
 
 use std::collections::{BTreeSet, HashMap};

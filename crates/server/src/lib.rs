@@ -7,9 +7,9 @@
 //! ([`qbe_core::session::InteractiveLearner`]). This crate is the missing serving layer: a
 //! TCP service speaking a hand-rolled line protocol (no registry access, hence no serde),
 //! multiplexing many users' learning sessions over corpora that are built once and shared
-//! behind `Arc`s. One event-driven engine serves the protocol: an epoll/poll readiness loop in
-//! a single reactor thread plus a fixed worker pool — 10k+ concurrent connections on
-//! commodity fd limits.
+//! behind `Arc`s. One event-driven engine serves the protocol: an epoll readiness loop in a
+//! single reactor thread plus a fixed worker pool — 10k+ concurrent connections on commodity
+//! fd limits. Serving is Linux-only.
 //!
 //! A session, over the wire:
 //!
@@ -68,4 +68,5 @@ pub use retry::{
 };
 pub use server::{
     spawn, RateLimit, ServerConfig, ServerHandle, FAULT_SITE_DROP, FAULT_SITE_LATENCY,
+    FAULT_SITE_PANIC,
 };

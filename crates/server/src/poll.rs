@@ -1,11 +1,12 @@
-//! Tiny FFI shim over the OS readiness APIs: `epoll` on Linux, `poll(2)` elsewhere.
+//! Tiny FFI shim over Linux `epoll`, O(1) per wait in the number of idle connections.
 //!
 //! The build environment has no crates registry, so there is no `libc`/`mio` to lean on.
 //! This module declares the few C symbols std has no wrapper for (they are already linked —
 //! std links the platform libc) and wraps them in a safe, deliberately minimal [`Poller`]
 //! API: register/modify/deregister a file descriptor under a `u64` token, wait for readiness
-//! with a timeout. All `unsafe` in the crate lives here, behind invariants small enough to
-//! state inline:
+//! with a timeout. The declarations and constants are the Linux ABI's, so the crate refuses
+//! to build for any other target. All `unsafe` in the crate lives here, behind invariants
+//! small enough to state inline:
 //!
 //! * every registered fd outlives its registration (the reactor owns the socket and
 //!   deregisters before dropping it);
@@ -16,8 +17,11 @@
 //! reactor from `wait` without touching any of its state.
 #![allow(unsafe_code)]
 
+#[cfg(not(target_os = "linux"))]
+compile_error!("qbe-server serves from Linux only: its readiness loop is epoll");
+
 use std::io::{self, Read, Write};
-use std::os::fd::{AsRawFd, RawFd};
+use std::os::fd::{AsRawFd, FromRawFd, OwnedFd, RawFd};
 use std::os::unix::net::UnixStream;
 use std::sync::Arc;
 use std::time::Duration;
@@ -35,7 +39,7 @@ pub struct Event {
     pub writable: bool,
 }
 
-/// Convert a poll timeout to the milliseconds argument of `poll`/`epoll_wait`, rounding *up*
+/// Convert a poll timeout to the milliseconds argument of `epoll_wait`, rounding *up*
 /// so a 100 µs timeout does not become a busy-spin of 0 ms waits. `None` blocks forever.
 fn timeout_ms(timeout: Option<Duration>) -> c_int {
     match timeout {
@@ -52,238 +56,93 @@ fn timeout_ms(timeout: Option<Duration>) -> c_int {
     }
 }
 
-#[cfg(target_os = "linux")]
-mod sys {
-    //! Linux backend: `epoll`, O(1) per wait in the number of idle connections.
-    use super::*;
-    use std::os::fd::{FromRawFd, OwnedFd};
-
-    // The kernel ABI packs `struct epoll_event` on x86; other architectures use natural
-    // alignment. Mirrors glibc's `__EPOLL_PACKED`.
-    #[cfg_attr(any(target_arch = "x86", target_arch = "x86_64"), repr(C, packed))]
-    #[cfg_attr(not(any(target_arch = "x86", target_arch = "x86_64")), repr(C))]
-    #[derive(Clone, Copy)]
-    struct EpollEvent {
-        events: u32,
-        data: u64,
-    }
-
-    const EPOLLIN: u32 = 0x001;
-    const EPOLLOUT: u32 = 0x004;
-    const EPOLLERR: u32 = 0x008;
-    const EPOLLHUP: u32 = 0x010;
-    const EPOLLRDHUP: u32 = 0x2000;
-    const EPOLL_CTL_ADD: c_int = 1;
-    const EPOLL_CTL_DEL: c_int = 2;
-    const EPOLL_CTL_MOD: c_int = 3;
-    const EPOLL_CLOEXEC: c_int = 0o2000000;
-
-    extern "C" {
-        fn epoll_create1(flags: c_int) -> c_int;
-        fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
-        fn epoll_wait(
-            epfd: c_int,
-            events: *mut EpollEvent,
-            maxevents: c_int,
-            timeout: c_int,
-        ) -> c_int;
-    }
-
-    /// Readiness selector over registered fds (epoll backend).
-    pub struct Poller {
-        epfd: OwnedFd,
-        buf: Vec<EpollEvent>,
-    }
-
-    impl Poller {
-        /// A fresh, empty selector.
-        pub fn new() -> io::Result<Poller> {
-            // SAFETY: plain syscall; the returned fd is immediately owned (closed on drop).
-            let fd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
-            if fd < 0 {
-                return Err(io::Error::last_os_error());
-            }
-            Ok(Poller {
-                // SAFETY: `fd` is a freshly created, unowned epoll descriptor.
-                epfd: unsafe { OwnedFd::from_raw_fd(fd) },
-                buf: vec![EpollEvent { events: 0, data: 0 }; 1024],
-            })
-        }
-
-        fn ctl(&self, op: c_int, fd: RawFd, token: u64, read: bool, write: bool) -> io::Result<()> {
-            let mut ev = EpollEvent {
-                events: (if read { EPOLLIN | EPOLLRDHUP } else { 0 })
-                    | (if write { EPOLLOUT } else { 0 }),
-                data: token,
-            };
-            // SAFETY: `ev` is a live local; the fd is valid for the duration of the call
-            // (callers only pass fds of sockets they own).
-            if unsafe { epoll_ctl(self.epfd.as_raw_fd(), op, fd, &mut ev) } < 0 {
-                return Err(io::Error::last_os_error());
-            }
-            Ok(())
-        }
-
-        /// Start watching `fd` under `token` for the given interests.
-        pub fn register(
-            &mut self,
-            fd: RawFd,
-            token: u64,
-            read: bool,
-            write: bool,
-        ) -> io::Result<()> {
-            self.ctl(EPOLL_CTL_ADD, fd, token, read, write)
-        }
-
-        /// Change the interests of an already-registered fd.
-        pub fn modify(&mut self, fd: RawFd, token: u64, read: bool, write: bool) -> io::Result<()> {
-            self.ctl(EPOLL_CTL_MOD, fd, token, read, write)
-        }
-
-        /// Stop watching `fd` (must happen before the fd is closed).
-        pub fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
-            self.ctl(EPOLL_CTL_DEL, fd, 0, false, false)
-        }
-
-        /// Block until at least one registered fd is ready or the timeout passes; append the
-        /// ready events to `out`. A timeout or an interrupting signal appends nothing.
-        pub fn wait(&mut self, timeout: Option<Duration>, out: &mut Vec<Event>) -> io::Result<()> {
-            let n = {
-                // SAFETY: `buf` is a live Vec of `len()` initialised events; the kernel
-                // writes at most `maxevents` entries into it.
-                let r = unsafe {
-                    epoll_wait(
-                        self.epfd.as_raw_fd(),
-                        self.buf.as_mut_ptr(),
-                        self.buf.len() as c_int,
-                        timeout_ms(timeout),
-                    )
-                };
-                if r < 0 {
-                    let e = io::Error::last_os_error();
-                    if e.kind() == io::ErrorKind::Interrupted {
-                        return Ok(());
-                    }
-                    return Err(e);
-                }
-                r as usize
-            };
-            for ev in &self.buf[..n] {
-                let bits = ev.events;
-                out.push(Event {
-                    token: ev.data,
-                    readable: bits & (EPOLLIN | EPOLLRDHUP | EPOLLERR | EPOLLHUP) != 0,
-                    writable: bits & (EPOLLOUT | EPOLLERR | EPOLLHUP) != 0,
-                });
-            }
-            Ok(())
-        }
-    }
+// The kernel ABI packs `struct epoll_event` on x86; other architectures use natural
+// alignment. Mirrors glibc's `__EPOLL_PACKED`.
+#[cfg_attr(any(target_arch = "x86", target_arch = "x86_64"), repr(C, packed))]
+#[cfg_attr(not(any(target_arch = "x86", target_arch = "x86_64")), repr(C))]
+#[derive(Clone, Copy)]
+struct EpollEvent {
+    events: u32,
+    data: u64,
 }
 
-#[cfg(not(target_os = "linux"))]
-mod sys {
-    //! Portable Unix backend: `poll(2)`, O(fds) per wait — fine for the test-sized loads
-    //! non-Linux builds see.
-    use super::*;
-    use std::collections::HashMap;
+const EPOLLIN: u32 = 0x001;
+const EPOLLOUT: u32 = 0x004;
+const EPOLLERR: u32 = 0x008;
+const EPOLLHUP: u32 = 0x010;
+const EPOLLRDHUP: u32 = 0x2000;
+const EPOLL_CTL_ADD: c_int = 1;
+const EPOLL_CTL_DEL: c_int = 2;
+const EPOLL_CTL_MOD: c_int = 3;
+const EPOLL_CLOEXEC: c_int = 0o2000000;
 
-    #[repr(C)]
-    #[derive(Clone, Copy)]
-    struct PollFd {
-        fd: c_int,
-        events: i16,
-        revents: i16,
+extern "C" {
+    fn epoll_create1(flags: c_int) -> c_int;
+    fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
+    fn epoll_wait(epfd: c_int, events: *mut EpollEvent, maxevents: c_int, timeout: c_int) -> c_int;
+}
+
+/// Readiness selector over registered fds.
+pub struct Poller {
+    epfd: OwnedFd,
+    buf: Vec<EpollEvent>,
+}
+
+impl Poller {
+    /// A fresh, empty selector.
+    pub fn new() -> io::Result<Poller> {
+        // SAFETY: plain syscall; the returned fd is immediately owned (closed on drop).
+        let fd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
+        if fd < 0 {
+            return Err(io::Error::last_os_error());
+        }
+        Ok(Poller {
+            // SAFETY: `fd` is a freshly created, unowned epoll descriptor.
+            epfd: unsafe { OwnedFd::from_raw_fd(fd) },
+            buf: vec![EpollEvent { events: 0, data: 0 }; 1024],
+        })
     }
 
-    const POLLIN: i16 = 0x001;
-    const POLLOUT: i16 = 0x004;
-    const POLLERR: i16 = 0x008;
-    const POLLHUP: i16 = 0x010;
-
-    extern "C" {
-        fn poll(fds: *mut PollFd, nfds: u64, timeout: c_int) -> c_int;
+    fn ctl(&self, op: c_int, fd: RawFd, token: u64, read: bool, write: bool) -> io::Result<()> {
+        let mut ev = EpollEvent {
+            events: (if read { EPOLLIN | EPOLLRDHUP } else { 0 })
+                | (if write { EPOLLOUT } else { 0 }),
+            data: token,
+        };
+        // SAFETY: `ev` is a live local; the fd is valid for the duration of the call
+        // (callers only pass fds of sockets they own).
+        if unsafe { epoll_ctl(self.epfd.as_raw_fd(), op, fd, &mut ev) } < 0 {
+            return Err(io::Error::last_os_error());
+        }
+        Ok(())
     }
 
-    /// Readiness selector over registered fds (poll backend).
-    pub struct Poller {
-        fds: Vec<PollFd>,
-        tokens: Vec<u64>,
-        index: HashMap<RawFd, usize>,
+    /// Start watching `fd` under `token` for the given interests.
+    pub fn register(&mut self, fd: RawFd, token: u64, read: bool, write: bool) -> io::Result<()> {
+        self.ctl(EPOLL_CTL_ADD, fd, token, read, write)
     }
 
-    impl Poller {
-        /// A fresh, empty selector.
-        pub fn new() -> io::Result<Poller> {
-            Ok(Poller {
-                fds: Vec::new(),
-                tokens: Vec::new(),
-                index: HashMap::new(),
-            })
-        }
+    /// Change the interests of an already-registered fd.
+    pub fn modify(&mut self, fd: RawFd, token: u64, read: bool, write: bool) -> io::Result<()> {
+        self.ctl(EPOLL_CTL_MOD, fd, token, read, write)
+    }
 
-        fn events_bits(read: bool, write: bool) -> i16 {
-            (if read { POLLIN } else { 0 }) | (if write { POLLOUT } else { 0 })
-        }
+    /// Stop watching `fd` (must happen before the fd is closed).
+    pub fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
+        self.ctl(EPOLL_CTL_DEL, fd, 0, false, false)
+    }
 
-        /// Start watching `fd` under `token` for the given interests.
-        pub fn register(
-            &mut self,
-            fd: RawFd,
-            token: u64,
-            read: bool,
-            write: bool,
-        ) -> io::Result<()> {
-            if self.index.contains_key(&fd) {
-                return Err(io::Error::new(
-                    io::ErrorKind::AlreadyExists,
-                    "fd already registered",
-                ));
-            }
-            self.index.insert(fd, self.fds.len());
-            self.fds.push(PollFd {
-                fd,
-                events: Self::events_bits(read, write),
-                revents: 0,
-            });
-            self.tokens.push(token);
-            Ok(())
-        }
-
-        /// Change the interests of an already-registered fd.
-        pub fn modify(&mut self, fd: RawFd, token: u64, read: bool, write: bool) -> io::Result<()> {
-            let ix = *self
-                .index
-                .get(&fd)
-                .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, "fd not registered"))?;
-            self.fds[ix].events = Self::events_bits(read, write);
-            self.tokens[ix] = token;
-            Ok(())
-        }
-
-        /// Stop watching `fd` (must happen before the fd is closed).
-        pub fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
-            let ix = self
-                .index
-                .remove(&fd)
-                .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, "fd not registered"))?;
-            self.fds.swap_remove(ix);
-            self.tokens.swap_remove(ix);
-            if ix < self.fds.len() {
-                self.index.insert(self.fds[ix].fd, ix);
-            }
-            Ok(())
-        }
-
-        /// Block until at least one registered fd is ready or the timeout passes; append the
-        /// ready events to `out`. A timeout or an interrupting signal appends nothing.
-        pub fn wait(&mut self, timeout: Option<Duration>, out: &mut Vec<Event>) -> io::Result<()> {
-            // SAFETY: `fds` is a live Vec of repr(C) entries; the kernel only fills
-            // `revents` within its length.
+    /// Block until at least one registered fd is ready or the timeout passes; append the
+    /// ready events to `out`. A timeout or an interrupting signal appends nothing.
+    pub fn wait(&mut self, timeout: Option<Duration>, out: &mut Vec<Event>) -> io::Result<()> {
+        let n = {
+            // SAFETY: `buf` is a live Vec of `len()` initialised events; the kernel
+            // writes at most `maxevents` entries into it.
             let r = unsafe {
-                poll(
-                    self.fds.as_mut_ptr(),
-                    self.fds.len() as u64,
+                epoll_wait(
+                    self.epfd.as_raw_fd(),
+                    self.buf.as_mut_ptr(),
+                    self.buf.len() as c_int,
                     timeout_ms(timeout),
                 )
             };
@@ -294,22 +153,19 @@ mod sys {
                 }
                 return Err(e);
             }
-            for (pfd, &token) in self.fds.iter().zip(&self.tokens) {
-                if pfd.revents == 0 {
-                    continue;
-                }
-                out.push(Event {
-                    token,
-                    readable: pfd.revents & (POLLIN | POLLERR | POLLHUP) != 0,
-                    writable: pfd.revents & (POLLOUT | POLLERR | POLLHUP) != 0,
-                });
-            }
-            Ok(())
+            r as usize
+        };
+        for ev in &self.buf[..n] {
+            let bits = ev.events;
+            out.push(Event {
+                token: ev.data,
+                readable: bits & (EPOLLIN | EPOLLRDHUP | EPOLLERR | EPOLLHUP) != 0,
+                writable: bits & (EPOLLOUT | EPOLLERR | EPOLLHUP) != 0,
+            });
         }
+        Ok(())
     }
 }
-
-pub use sys::Poller;
 
 extern "C" {
     fn getrlimit(resource: c_int, rlim: *mut RLimit) -> c_int;
@@ -368,10 +224,7 @@ struct RLimit {
     rlim_max: u64,
 }
 
-#[cfg(target_os = "linux")]
 const RLIMIT_NOFILE: c_int = 7;
-#[cfg(not(target_os = "linux"))]
-const RLIMIT_NOFILE: c_int = 8;
 
 /// The current soft limit on open file descriptors, if the OS reports one. The 10k-connection
 /// soak sizes itself against this instead of dying on EMFILE.

@@ -8,17 +8,17 @@
 //!
 //! Completed sessions fold into running aggregates (session/success/question counters plus an
 //! incrementally sorted question-count list — 8 bytes per session served), so a `METRICS`
-//! request is O(1): no per-request clone or sort of the service's whole history. The numbers
-//! reported are the `WorkloadMetrics` vocabulary of the in-process workload driver — `METRICS`
-//! over the wire and `exp_workload` on a laptop read the same statistics.
+//! request is O(1): no per-request clone or sort of the service's whole history. Question
+//! percentiles are nearest-rank ([`percentile_sorted`]), the definition `exp_strategies` prints
+//! too.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
+use qbe_core::percentile_sorted;
 use qbe_core::session::InteractiveLearner;
-use qbe_core::workload::percentile_sorted;
 
 /// Number of mutex shards. A small power of two: enough to decorrelate a few hundred
 /// concurrent connections, cheap to scan for the active-session count.
@@ -47,8 +47,7 @@ struct CompletedLog {
     total_questions: usize,
     total_wall: Duration,
     /// Question counts of all completed sessions, kept sorted by binary insertion so
-    /// percentile queries are index lookups (nearest-rank, as in
-    /// [`qbe_core::workload::percentile`]).
+    /// percentile queries are index lookups ([`percentile_sorted`]).
     sorted_questions: Vec<usize>,
 }
 
@@ -62,8 +61,8 @@ impl CompletedLog {
     }
 }
 
-/// A `METRICS` snapshot: [`WorkloadMetrics`](qbe_core::workload::WorkloadMetrics)-style
-/// aggregates over every session this registry has completed.
+/// A `METRICS` snapshot: aggregates over every session this registry has completed, plus the
+/// service-health counters.
 #[derive(Debug, Clone)]
 pub struct ServiceMetrics {
     /// Sessions served to completion (converged or abandoned).
@@ -98,6 +97,9 @@ pub struct ServiceMetrics {
     pub reasks: u64,
     /// Faults fired by the server's injection registry (0 without a fault profile).
     pub faults_injected: u64,
+    /// Requests whose execution panicked; each got `-ERR internal error` and lost its
+    /// connection and session, and the worker kept serving.
+    pub panics: u64,
 }
 
 impl ServiceMetrics {
@@ -136,6 +138,7 @@ pub struct SessionRegistry {
     recovered: AtomicU64,
     retries: AtomicU64,
     reasks: AtomicU64,
+    panics: AtomicU64,
 }
 
 impl Default for SessionRegistry {
@@ -159,6 +162,7 @@ impl SessionRegistry {
             recovered: AtomicU64::new(0),
             retries: AtomicU64::new(0),
             reasks: AtomicU64::new(0),
+            panics: AtomicU64::new(0),
         }
     }
 
@@ -190,6 +194,11 @@ impl SessionRegistry {
     /// Count a session re-attached across connections via `RESUME`.
     pub fn note_retry(&self) {
         self.retries.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Count a request whose execution panicked.
+    pub fn note_panic(&self) {
+        self.panics.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Serve the session's pending question: returns `true` when it had already been served
@@ -338,6 +347,7 @@ impl SessionRegistry {
             // Filled by the service from its fault registry; the session registry itself
             // never injects anything.
             faults_injected: 0,
+            panics: self.panics.load(Ordering::Relaxed),
         }
     }
 }
@@ -379,7 +389,7 @@ mod tests {
     fn completed_sessions_are_reported_exactly_once() {
         let reg = SessionRegistry::new();
         let id = reg.open(learner());
-        reg.with_session(id, |l| drive("s1", l)).unwrap();
+        reg.with_session(id, drive).unwrap();
         assert_eq!(reg.metrics().sessions, 1, "reported on completion");
         // Further queries and the eventual close must not double-count.
         reg.with_session(id, |l| l.questions()).unwrap();
@@ -393,11 +403,11 @@ mod tests {
 
     #[test]
     fn percentiles_track_the_question_distribution() {
-        // Aggregates must match the nearest-rank definition used by the workload driver.
+        // Aggregates must match the nearest-rank definition of `percentile_sorted`.
         let reg = SessionRegistry::new();
         let ids: Vec<u64> = (0..5).map(|_| reg.open(learner())).collect();
         for id in &ids {
-            reg.with_session(*id, |l| drive("s", l)).unwrap();
+            reg.with_session(*id, drive).unwrap();
         }
         let per_session = reg.metrics().total_questions / 5;
         let metrics = reg.metrics();
@@ -416,10 +426,12 @@ mod tests {
         reg.note_shed();
         reg.note_shed();
         reg.note_shed();
+        reg.note_panic();
         let metrics = reg.metrics();
         assert_eq!(metrics.rejected, 2);
         assert_eq!(metrics.timeouts, 1);
         assert_eq!(metrics.shed, 3);
+        assert_eq!(metrics.panics, 1);
         assert_eq!(metrics.sessions, 0, "counters are not sessions");
     }
 

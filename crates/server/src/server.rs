@@ -86,10 +86,10 @@ pub struct ServerConfig {
     pub persist: bool,
     /// Deterministic fault injection (`None` in production). The registry's sites drive
     /// injected latency ([`FAULT_SITE_LATENCY`]), mid-session connection drops
-    /// ([`FAULT_SITE_DROP`]) and WAL write/fsync failures; its fire count is the
-    /// `faults_injected=` METRICS counter. With a profile attached — even an empty one —
-    /// disconnects *detach* sessions instead of closing them, so injected drops are
-    /// survivable via `RESUME`.
+    /// ([`FAULT_SITE_DROP`]), worker panics ([`FAULT_SITE_PANIC`]) and WAL write/fsync
+    /// failures; its fire count is the `faults_injected=` METRICS counter. With a profile
+    /// attached — even an empty one — disconnects *detach* sessions instead of closing them,
+    /// so injected drops are survivable via `RESUME`.
     pub faults: Option<Arc<FaultRegistry>>,
 }
 
@@ -121,6 +121,17 @@ pub const FAULT_SITE_LATENCY: &str = "server.latency";
 /// or may not have been recorded. The session itself is detached, not closed, so the
 /// client can `RESUME` it.
 pub const FAULT_SITE_DROP: &str = "server.drop";
+
+/// Fault site: the worker panics before executing an `ASK`/`ANSWER` — a stand-in for a bug in
+/// a session step. The request is answered `-ERR internal error`, its connection and session
+/// are closed, and the worker goes on serving.
+pub const FAULT_SITE_PANIC: &str = "server.panic";
+
+/// `ASK` and `ANSWER`: the mid-session steps the drop and panic fault sites act on.
+fn session_step(line: &str) -> bool {
+    let verb = line.split_ascii_whitespace().next().unwrap_or("");
+    verb.eq_ignore_ascii_case("ASK") || verb.eq_ignore_ascii_case("ANSWER")
+}
 
 /// Everything the protocol core needs to answer a request line, shared by the reactor and
 /// every worker thread.
@@ -221,9 +232,17 @@ impl Service {
         let Some(faults) = &self.faults else {
             return false;
         };
-        let verb = line.split_ascii_whitespace().next().unwrap_or("");
-        (verb.eq_ignore_ascii_case("ASK") || verb.eq_ignore_ascii_case("ANSWER"))
-            && faults.fire(FAULT_SITE_DROP)
+        session_step(line) && faults.fire(FAULT_SITE_DROP)
+    }
+
+    /// Panic if the panic site fires for `line` (only `ASK`/`ANSWER` are checked). Called on
+    /// worker threads, inside the unwind guard around [`respond`].
+    pub(crate) fn inject_panic(&self, line: &str) {
+        if let Some(faults) = &self.faults {
+            if session_step(line) && faults.fire(FAULT_SITE_PANIC) {
+                panic!("injected fault at {FAULT_SITE_PANIC}");
+            }
+        }
     }
 
     /// Stop recording `Close` records: sessions still open are being preserved across a
@@ -645,6 +664,7 @@ pub(crate) fn respond(service: &Service, state: &mut ProtoState, line: &str) -> 
                 ("retries", metrics.retries.to_string()),
                 ("reasks", metrics.reasks.to_string()),
                 ("faults_injected", service.faults_injected().to_string()),
+                ("panics", metrics.panics.to_string()),
             ];
             format!("+METRICS {}", render_fields(&fields))
         }

@@ -11,8 +11,14 @@
 //! `ProtoState` travels with the job and comes back with the completion, so no per-connection
 //! lock exists anywhere. The queue depth (jobs submitted but not yet completed) is exported for
 //! the reactor's load-shedding decision.
+//!
+//! A panic while executing a request costs that request, not the worker: it is caught, the
+//! client gets the fatal `-ERR internal error` (no `retry later`) and its connection closes,
+//! the session it was stepping is closed rather than served half-updated, and the panic is
+//! counted in `panics=`.
 
 use std::collections::VecDeque;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -144,7 +150,17 @@ fn worker_loop(
         // Decide the injected drop before executing, apply it after: the operation lands
         // but its reply is lost — the case a resilient client must disambiguate.
         let dropped = service.injected_drop(&line);
-        let (reply, quit) = respond(service, &mut state, &line);
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            service.inject_panic(&line);
+            respond(service, &mut state, &line)
+        }));
+        let (reply, quit) = outcome.unwrap_or_else(|_| {
+            service.registry.note_panic();
+            // The panic may have left the learner half-updated: close its session rather than
+            // serve it again. Closing reads the learner's summary, so it is guarded too.
+            let _ = catch_unwind(AssertUnwindSafe(|| state.close_session(service)));
+            ("-ERR internal error".to_string(), true)
+        });
         depth.fetch_sub(1, Ordering::Relaxed);
         completions
             .lock()

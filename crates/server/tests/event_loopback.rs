@@ -108,7 +108,7 @@ fn golden_transcript_replays_byte_for_byte() {
             "METRICS",
             "+METRICS sessions=1 ok=1 active=1 total_questions=2 p50_questions=2 \
              p95_questions=2 mean_questions=2.00 rejected=0 timeouts=0 shed=0 persisted=0 \
-             recovered=0 corpora_built=1 retries=0 reasks=0 faults_injected=0",
+             recovered=0 corpora_built=1 retries=0 reasks=0 faults_injected=0 panics=0",
         ),
         ("QUIT", "+OK bye"),
     ];

@@ -13,9 +13,10 @@ use qbe_core::faults::{FaultProfile, FaultRegistry, SiteConfig};
 use qbe_core::graph::QueryClass;
 use qbe_server::protocol::field_value;
 use qbe_server::{
-    drive_goal_session, drive_goal_session_resilient, is_retryable, spawn, Client, ClientError,
-    Goal, NoiseModel, ResilientClient, RetryPolicy, ServerConfig, FAULT_SITE_CLIENT_DROP,
-    FAULT_SITE_CLIENT_DROP_REPLY, FAULT_SITE_DROP, FAULT_SITE_LATENCY,
+    drive_goal_session, drive_goal_session_resilient, is_retryable, spawn, AskReply, Client,
+    ClientError, Goal, Model, NoiseModel, ResilientClient, RetryPolicy, ServerConfig,
+    FAULT_SITE_CLIENT_DROP, FAULT_SITE_CLIENT_DROP_REPLY, FAULT_SITE_DROP, FAULT_SITE_LATENCY,
+    FAULT_SITE_PANIC,
 };
 
 fn metric(metrics: &[(String, String)], key: &str) -> u64 {
@@ -204,5 +205,61 @@ fn resilient_driver_is_a_noop_on_a_healthy_server() {
     assert_eq!(metric(&metrics, "retries"), 0);
     assert_eq!(metric(&metrics, "reasks"), 0);
     assert_eq!(metric(&metrics, "faults_injected"), 0);
+    handle.shutdown();
+}
+
+/// A panic while executing a request costs that request, not the worker. With one worker and
+/// a shedding threshold of one queued request, the panicking `ASK` gets the fatal
+/// `-ERR internal error` and loses its connection and session. A second client is still
+/// served, and its `ASK` is not shed, so the pool's depth came back to 0.
+#[test]
+fn a_panicking_request_costs_one_request_not_a_worker() {
+    let faults = FaultRegistry::shared(FaultProfile::new(1).site(
+        FAULT_SITE_PANIC,
+        SiteConfig::with_probability(1.0).max_fires(1),
+    ));
+    let handle = spawn(ServerConfig {
+        workers: 1,
+        shed_queue_depth: 1,
+        faults: Some(faults),
+        ..ServerConfig::default()
+    })
+    .expect("server binds");
+
+    let mut first = Client::connect(handle.addr()).expect("first client connects");
+    first.corpus("tiny").expect("corpus attaches");
+    first.start(Model::Twig, &[]).expect("session opens");
+    let err = first.ask().expect_err("the injected panic fails the ASK");
+    assert!(
+        matches!(&err, ClientError::Server(msg) if msg == "internal error"),
+        "got {err}"
+    );
+    assert!(!is_retryable(&err), "an internal error is fatal");
+    assert!(
+        first.hello().is_err(),
+        "the connection closes after the fatal reply"
+    );
+
+    let mut second = Client::connect(handle.addr()).expect("second client connects");
+    let hello = second.hello().expect("the one worker still serves");
+    assert!(hello.starts_with("+OK qbe-server"), "{hello}");
+    second.corpus("tiny").expect("corpus attaches");
+    second.start(Model::Twig, &[]).expect("session opens");
+    assert!(
+        matches!(second.ask(), Ok(AskReply::Question(_))),
+        "ASK is served, not shed: the panicked request left the queue depth"
+    );
+    let metrics = second.metrics().expect("metrics readable");
+    assert_eq!(metric(&metrics, "panics"), 1);
+    assert_eq!(
+        metric(&metrics, "sessions"),
+        1,
+        "the panicked session was closed"
+    );
+    assert_eq!(
+        metric(&metrics, "active"),
+        1,
+        "only the second session is live"
+    );
     handle.shutdown();
 }

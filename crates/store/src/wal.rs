@@ -498,6 +498,55 @@ mod tests {
     }
 
     #[test]
+    fn a_cut_at_any_byte_recovers_the_whole_frame_prefix_and_stays_appendable() {
+        let records = sample_records();
+        let path = temp_wal("cut");
+        {
+            let (_, mut w) = recover(&path).unwrap();
+            for r in &records {
+                w.append(r).unwrap();
+            }
+        }
+        let full = std::fs::read(&path).unwrap();
+        // The byte offset at which each record's frame ends.
+        let mut frame_ends = Vec::new();
+        let mut end = HEADER_LEN as usize;
+        for r in &records {
+            end += frame(&r.encode_body()).len();
+            frame_ends.push(end);
+        }
+        assert_eq!(
+            end,
+            full.len(),
+            "the log is its header plus one frame per record"
+        );
+        let appended = WalRecord::Close { session: 9 };
+        for cut in 0..=full.len() {
+            std::fs::write(&path, &full[..cut]).unwrap();
+            if (1..HEADER_LEN as usize).contains(&cut) {
+                assert!(
+                    matches!(recover(&path), Err(StoreError::ShortHeader { .. })),
+                    "cut {cut}"
+                );
+                continue;
+            }
+            let whole = frame_ends.iter().filter(|&&e| e <= cut).count();
+            let (recovered, mut w) = recover(&path).unwrap_or_else(|e| panic!("cut {cut}: {e}"));
+            assert_eq!(recovered, records[..whole].to_vec(), "cut {cut}");
+            w.append(&appended).unwrap();
+            drop(w);
+            let mut expected = records[..whole].to_vec();
+            expected.push(appended.clone());
+            let (reread, _w) = recover(&path).unwrap();
+            assert_eq!(
+                reread, expected,
+                "cut {cut}: the append after recovery reads back"
+            );
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
     fn mid_log_checksum_mismatch_is_corruption_not_a_torn_tail() {
         let path = temp_wal("midflip");
         {

@@ -61,7 +61,7 @@ pub struct EvalCache {
     shapes: HashMap<ShapeKey, u32>,
     /// Match bitset per interned shape id (`None` until first computed). `Arc` so a cache hit
     /// is a reference bump, not a copy — and so the cache stays `Send` for sessions handed
-    /// across `SessionPool` worker threads.
+    /// across qbe-server's worker threads.
     match_sets: Vec<Option<Arc<DenseSet<NodeId>>>>,
     /// Recycler for the transient bitsets of each evaluation (constraint sets, spine frontier).
     arena: SetArena,

@@ -45,7 +45,7 @@
 //!
 //! All candidate evaluations run through the indexed engine ([`crate::eval_indexed`]): the
 //! session shares one immutable [`NodeIndex`] per document — documents and indexes can be
-//! handed in as `Arc`s by a concurrent workload driver (see [`TwigSession::with_shared`]) — and
+//! handed in as `Arc`s by a multi-session server (see [`TwigSession::with_shared`]) — and
 //! keeps one [`EvalCache`] per document so structurally repeated sub-twigs across the many
 //! candidate queries of a session are matched once. Node labels and label paths are interned
 //! once per session, so the strategy's feature rows are built from integer ids.
@@ -464,9 +464,9 @@ impl TwigSession {
         TwigSession::with_shared(Arc::new(docs), Arc::new(indexes), strategy, seed)
     }
 
-    /// Start a session over documents and indexes shared with other sessions (the
-    /// multi-session workload driver hands every session the same two `Arc`s, so N concurrent
-    /// sessions hold one copy of the corpus and its index).
+    /// Start a session over documents and indexes shared with other sessions (a multi-session
+    /// server hands every session the same two `Arc`s, so N concurrent sessions hold one copy
+    /// of the corpus and its index).
     pub fn with_shared(
         docs: Arc<Vec<XmlTree>>,
         indexes: Arc<Vec<NodeIndex>>,

@@ -12,7 +12,7 @@
 //!   cache-friendly upward walks.
 //!
 //! The index is immutable and contains no references into the tree, so it can be built once,
-//! wrapped in an `Arc`, and shared across concurrent sessions (see `qbe_core::workload`). It is
+//! wrapped in an `Arc`, and shared across concurrent sessions (see `qbe_twig::TwigSession`). It is
 //! only meaningful for the exact tree it was built from; callers are responsible for not mixing
 //! indexes and trees up (the node count is checked in debug builds by the consumers).
 

@@ -15,7 +15,6 @@ const EXAMPLES: &[&str] = &[
     "trip_planner",
     "cross_model_exchange",
     "query_reverse_engineering",
-    "workload",
 ];
 
 #[test]

@@ -19,7 +19,7 @@ fn generic_interactive_protocol_learns_a_twig_query() {
     let mut learner =
         TwigInteractive::with_shared(docs.clone(), indexes, NodeStrategy::LabelAffinity, 1)
             .with_goal(goal.clone());
-    let report = drive("twig", &mut learner);
+    let report = drive(&mut learner);
     assert!(report.success, "labels from a goal are always consistent");
 
     // The learned query selects exactly the goal's answer set.
@@ -39,7 +39,7 @@ fn generic_interactive_protocol_learns_a_join_query() {
     let mut learner =
         JoinInteractive::with_config(customers.clone(), orders.clone(), SessionConfig::new())
             .with_goal(goal.clone());
-    let report = drive("join", &mut learner);
+    let report = drive(&mut learner);
     assert!(report.success);
 
     let learned = learner.session().current_hypothesis();
