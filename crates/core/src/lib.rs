@@ -46,8 +46,8 @@ pub use noise::{
     majority_error_bound, majority_votes_needed, votes_for_session, MajorityVote, NoisyPacPlan,
 };
 pub use session::{
-    drive, percentile_sorted, GraphQueryInteractive, InteractiveLearner, JoinInteractive,
-    PathInteractive, Question, SessionError, SessionReport, TwigInteractive,
+    drive, nearest_rank_index, percentile_sorted, GraphQueryInteractive, InteractiveLearner,
+    JoinInteractive, PathInteractive, Question, SessionError, SessionReport, TwigInteractive,
 };
 
 /// Re-export of the dense-bitset match-set kernel (`qbe-bitset`): [`bitset::DenseSet`]

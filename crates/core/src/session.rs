@@ -38,18 +38,17 @@ use qbe_strategy::SessionConfig;
 use qbe_twig::{eval, NodeStrategy, TwigQuery, TwigSession};
 use qbe_xml::{NodeId, NodeIndex, XmlTree};
 
-/// One membership question, in both machine- and human-readable form.
+/// One membership question: the proposed item as `key=value` fields.
 ///
 /// `fields` identifies the item being asked about (`doc`/`node` for twig, `path`/`types`/… for
-/// path, `left`/`right` for join) as `key=value` pairs whose values never contain spaces — the
-/// wire protocol prints them verbatim on one line, and a remote client (or a client-side
-/// simulated user) reconstructs the item from them. `prompt` is the sentence a UI would show.
+/// path, `left`/`right` for join, `pair`/`source_id`/`target_id`/… for graph) as `key=value`
+/// pairs whose values never contain spaces — the wire protocol prints them verbatim on one
+/// line ([`Display`](fmt::Display) renders exactly that line), and a remote client (or a
+/// client-side simulated user) reconstructs the item from them.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Question {
     /// Machine-readable `key=value` identification of the proposed item.
     pub fields: Vec<(&'static str, String)>,
-    /// Human-readable rendering of the question.
-    pub prompt: String,
 }
 
 impl Question {
@@ -196,12 +195,18 @@ pub fn drive(learner: &mut dyn InteractiveLearner) -> SessionReport {
 /// method: the smallest value such that at least `p`% of the values are no larger. `None`
 /// for an empty slice; rank 0 (p = 0) maps to the minimum.
 pub fn percentile_sorted(sorted: &[usize], p: f64) -> Option<usize> {
-    if sorted.is_empty() {
+    nearest_rank_index(sorted.len(), p).map(|ix| sorted[ix])
+}
+
+/// Where [`percentile_sorted`] reads among `len` ascending values: the 0-based position of
+/// the nearest-rank `p`-th percentile. `None` when `len` is 0.
+pub fn nearest_rank_index(len: usize, p: f64) -> Option<usize> {
+    if len == 0 {
         return None;
     }
     let p = p.clamp(0.0, 100.0);
-    let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
-    Some(sorted[rank.saturating_sub(1)])
+    let rank = ((p / 100.0) * len as f64).ceil() as usize;
+    Some(rank.saturating_sub(1))
 }
 
 /// The ask/answer state every adapter shares: the item the pending question asks about, and
@@ -325,10 +330,6 @@ impl InteractiveLearner for TwigInteractive {
                     format!("/{}", self.docs[doc].label_path(node).join("/")),
                 ),
             ],
-            prompt: format!(
-                "Does your query select node {} (a <{label}> element) of document {doc}?",
-                node.index()
-            ),
         })
     }
 
@@ -472,11 +473,6 @@ impl InteractiveLearner for PathInteractive {
                 ("types", types.join(",")),
                 ("via", cities.join(",")),
             ],
-            prompt: format!(
-                "Is the itinerary via {} (distance {:.0}) one of the paths you want?",
-                cities.join(", "),
-                features.distance
-            ),
         })
     }
 
@@ -585,17 +581,14 @@ impl InteractiveLearner for GraphQueryInteractive {
         let q = self.pending.get_or_propose(|| self.session.propose())?;
         let (s, t) = self.session.question_pair(q);
         let graph = self.session.graph();
-        let source = graph.display_name(s).replace(' ', "_");
-        let target = graph.display_name(t).replace(' ', "_");
         Some(Question {
             fields: vec![
                 ("pair", q.to_string()),
-                ("source", source.clone()),
-                ("target", target.clone()),
+                ("source", graph.display_name(s).replace(' ', "_")),
+                ("target", graph.display_name(t).replace(' ', "_")),
                 ("source_id", s.0.to_string()),
                 ("target_id", t.0.to_string()),
             ],
-            prompt: format!("Should your query select the pair ({source}, {target})?"),
         })
     }
 
@@ -618,11 +611,11 @@ impl InteractiveLearner for GraphQueryInteractive {
     }
 
     fn hypothesis(&self) -> Option<String> {
-        Some(self.session.learned().0)
+        Some(self.session.learned_query())
     }
 
     fn answer_set_size(&self) -> usize {
-        self.session.learned().1.len()
+        self.session.learned_answer_count()
     }
 
     fn questions(&self) -> usize {
@@ -717,11 +710,6 @@ impl InteractiveLearner for JoinInteractive {
                 ("left_tuple", left_tuple.replace(' ', "")),
                 ("right_tuple", right_tuple.replace(' ', "")),
             ],
-            prompt: format!(
-                "Should tuples {} and {} be joined?",
-                self.session.left().tuples()[l],
-                self.session.right().tuples()[r]
-            ),
         })
     }
 
@@ -903,7 +891,7 @@ mod tests {
         let report = drive(&mut learner);
         assert!(report.success);
         assert_eq!(learner.kind(), "graph");
-        assert_eq!(learner.session().learned().1, goal);
+        assert_eq!(learner.session().learned_pairs(), goal);
         assert_eq!(learner.answer_set_size(), goal.len());
         let hypothesis = learner
             .hypothesis()

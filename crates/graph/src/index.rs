@@ -2,15 +2,16 @@
 //!
 //! The naive RPQ evaluator ([`crate::rpq::evaluate`]) scans every outgoing edge of a node and
 //! string-compares its label against each NFA transition. [`GraphIndex`] interns the edge
-//! labels once and lays the adjacency out as, per node, a label-id-sorted successor list plus
-//! one successor bitset per distinct label, so evaluation matches labels by integer id and
-//! reads the successors of a node under one label as a contiguous slice or a single set.
+//! labels once and keeps one adjacency: per node, one successor bitset and one predecessor
+//! bitset per distinct label, so evaluation matches labels by integer id and reads the
+//! neighbours of a node under one label as a single set. The index keeps no edge lists;
+//! parallel edges collapse to one bit.
 //!
 //! Like `qbe_xml::NodeIndex`, the index is immutable and self-contained, so it can be built
 //! once per graph and shared (behind an `Arc`) by every concurrent learning session over that
 //! graph.
 //!
-//! The index also implements [`qbe_algebra::Adjacency`], so algebra-lowered queries evaluate
+//! The index implements [`qbe_algebra::Adjacency`], so algebra-lowered queries evaluate
 //! directly against it — the per-label *reverse* bitsets (`in_bits`) make inverse labels
 //! (`ℓ⁻`, the 2RPQ extension) native rather than requiring a transposition pass.
 
@@ -23,15 +24,12 @@ use std::collections::HashMap;
 pub struct GraphIndex {
     labels: Vec<String>,
     label_ids: HashMap<String, u32>,
-    /// `out[node]` = `(label id, target)` pairs, sorted by label id (then target).
-    out: Vec<Vec<(u32, GNodeId)>>,
     /// `out_bits[node]` = per distinct outgoing label, the *set* of successors as a dense
     /// bitset over the node universe (sorted by label id). Parallel edges collapse to one bit.
     ///
     /// Memory trade-off: one `n/8`-byte bitset per `(node, distinct outgoing label)` pair —
     /// negligible for the geographical graphs the paper's experiments use, O(n²/8) per label on
-    /// large dense graphs. If this index ever fronts such graphs, the sorted `out` slices can
-    /// serve the same dedup by skipping consecutive duplicate targets.
+    /// large dense graphs.
     out_bits: Vec<Vec<(u32, DenseSet<GNodeId>)>>,
     /// `in_bits[node]` = per distinct *incoming* label, the set of predecessors (sorted by
     /// label id) — the mirror of `out_bits` that makes inverse labels (`ℓ⁻`) evaluate natively.
@@ -90,7 +88,6 @@ impl GraphIndex {
         GraphIndex {
             labels,
             label_ids,
-            out,
             out_bits,
             in_bits,
             label_edge_counts,
@@ -100,7 +97,7 @@ impl GraphIndex {
 
     /// Number of indexed nodes.
     pub fn node_count(&self) -> usize {
-        self.out.len()
+        self.out_bits.len()
     }
 
     /// Number of distinct edge labels.
@@ -118,38 +115,13 @@ impl GraphIndex {
         &self.labels[id as usize]
     }
 
-    /// All `(label id, target)` successor pairs of a node, sorted by label id.
-    pub fn out_edges(&self, node: GNodeId) -> &[(u32, GNodeId)] {
-        &self.out[node.0 as usize]
-    }
-
-    /// Successors of `node` under edges labelled `label_id`, as a contiguous slice.
-    pub fn successors(&self, node: GNodeId, label_id: u32) -> &[(u32, GNodeId)] {
-        let adj = &self.out[node.0 as usize];
-        let lo = adj.partition_point(|&(l, _)| l < label_id);
-        let hi = adj.partition_point(|&(l, _)| l <= label_id);
-        &adj[lo..hi]
-    }
-
-    /// Per distinct outgoing label of `node`, the successor *set* as a dense bitset (sorted by
-    /// label id, parallel edges collapsed).
-    pub fn successor_bits(&self, node: GNodeId) -> &[(u32, DenseSet<GNodeId>)] {
-        &self.out_bits[node.0 as usize]
-    }
-
-    /// Per distinct *incoming* label of `node`, the predecessor set as a dense bitset (sorted
-    /// by label id). The reverse mirror of [`successor_bits`](Self::successor_bits), backing
-    /// native inverse-label (`ℓ⁻`) evaluation.
-    pub fn predecessor_bits(&self, node: GNodeId) -> &[(u32, DenseSet<GNodeId>)] {
-        &self.in_bits[node.0 as usize]
-    }
-
     /// Successor set of `node` under one label, when any exists.
     pub fn successor_set(&self, node: GNodeId, label_id: u32) -> Option<&DenseSet<GNodeId>> {
         lookup_label(&self.out_bits[node.0 as usize], label_id)
     }
 
-    /// Predecessor set of `node` under one label, when any exists.
+    /// Predecessor set of `node` under one label, when any exists: the reverse mirror of
+    /// [`successor_set`](Self::successor_set), backing native inverse-label (`ℓ⁻`) evaluation.
     pub fn predecessor_set(&self, node: GNodeId, label_id: u32) -> Option<&DenseSet<GNodeId>> {
         lookup_label(&self.in_bits[node.0 as usize], label_id)
     }
@@ -214,6 +186,7 @@ impl qbe_algebra::Adjacency for GraphIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
 
     fn graph() -> (PropertyGraph, Vec<GNodeId>) {
         let mut g = PropertyGraph::new();
@@ -235,87 +208,98 @@ mod tests {
         assert!(ix.label_id("ferry").is_none());
     }
 
+    fn members(set: Option<&DenseSet<GNodeId>>) -> Vec<GNodeId> {
+        set.map(|s| s.iter().collect()).unwrap_or_default()
+    }
+
     #[test]
     fn successors_enumerate_per_label() {
         let (g, n) = graph();
         let ix = GraphIndex::build(&g);
         let road = ix.label_id("road").unwrap();
         let train = ix.label_id("train").unwrap();
-        let road_targets: Vec<GNodeId> =
-            ix.successors(n[0], road).iter().map(|&(_, t)| t).collect();
-        assert_eq!(road_targets, vec![n[1], n[3]]);
-        let train_targets: Vec<GNodeId> =
-            ix.successors(n[0], train).iter().map(|&(_, t)| t).collect();
-        assert_eq!(train_targets, vec![n[2]]);
-        assert!(ix.successors(n[2], road).is_empty());
+        assert_eq!(members(ix.successor_set(n[0], road)), vec![n[1], n[3]]);
+        assert_eq!(members(ix.successor_set(n[0], train)), vec![n[2]]);
+        assert!(ix.successor_set(n[2], road).is_none());
     }
 
     #[test]
-    fn successor_bitsets_agree_with_edge_slices_and_collapse_parallel_edges() {
+    fn successor_sets_hold_every_edge_once() {
+        let (g, _) = graph();
+        let ix = GraphIndex::build(&g);
+        for e in g.edge_ids() {
+            let label = ix.label_id(g.edge_label(e)).unwrap();
+            assert!(
+                ix.successor_set(g.source(e), label)
+                    .is_some_and(|s| s.contains(g.target(e))),
+                "edge {e:?} missing"
+            );
+        }
+        // Without parallel edges the sets hold exactly one member per edge.
+        let total: usize = g
+            .node_ids()
+            .flat_map(|v| (0..ix.label_count() as u32).map(move |l| (v, l)))
+            .map(|(v, l)| ix.successor_set(v, l).map_or(0, DenseSet::len))
+            .sum();
+        assert_eq!(total, g.edge_count());
+        assert_eq!(ix.node_count(), g.node_count());
+    }
+
+    #[test]
+    fn successor_sets_agree_with_the_edges_and_collapse_parallel_edges() {
         let (mut g, n) = graph();
-        // A parallel road edge: the slice gains an entry, the bitset does not.
+        // A parallel road edge: the graph gains an edge, the successor set does not.
         g.add_edge(n[0], n[1], "road");
         let ix = GraphIndex::build(&g);
         let road = ix.label_id("road").unwrap();
-        assert_eq!(ix.successors(n[0], road).len(), 3);
-        let (lid, bits) = &ix.successor_bits(n[0])[0];
-        assert_eq!(*lid, road);
-        assert_eq!(bits.iter().collect::<Vec<_>>(), vec![n[1], n[3]]);
-        assert!(ix.successor_bits(n[2]).iter().all(|&(l, _)| l != road));
-        // The per-node listing covers every distinct (label, target) pair, sorted by label.
+        assert_eq!(members(ix.successor_set(n[0], road)), vec![n[1], n[3]]);
+        assert_eq!(
+            ix.label_edge_count(road),
+            4,
+            "the edge count keeps parallel edges"
+        );
+        // Every (node, label) pair has exactly the successors its edges name, and no set
+        // exists for a pair no edge carries.
         for v in g.node_ids() {
-            let listed = ix.successor_bits(v);
-            assert!(listed.windows(2).all(|w| w[0].0 < w[1].0));
-            for &(lid, ref bits) in listed {
-                let slice: std::collections::BTreeSet<GNodeId> =
-                    ix.successors(v, lid).iter().map(|&(_, t)| t).collect();
-                assert_eq!(
-                    bits.iter().collect::<std::collections::BTreeSet<_>>(),
-                    slice
-                );
+            for lid in 0..ix.label_count() as u32 {
+                let want: BTreeSet<GNodeId> = g
+                    .edge_ids()
+                    .filter(|&e| g.source(e) == v && ix.label_id(g.edge_label(e)) == Some(lid))
+                    .map(|e| g.target(e))
+                    .collect();
+                let got = ix.successor_set(v, lid);
+                assert_eq!(got.is_some(), !want.is_empty(), "{v:?} label {lid}");
+                assert_eq!(members(got), Vec::from_iter(want), "{v:?} label {lid}");
             }
         }
     }
 
     #[test]
-    fn predecessor_bits_mirror_successor_bits() {
+    fn predecessor_sets_mirror_successor_sets() {
         let (g, n) = graph();
         let ix = GraphIndex::build(&g);
         let road = ix.label_id("road").unwrap();
         let train = ix.label_id("train").unwrap();
         // Every forward (s, l, t) appears as a reverse (t, l, s) and vice versa.
         for s in g.node_ids() {
-            for &(lid, ref bits) in ix.successor_bits(s) {
-                for t in bits.iter() {
+            for lid in 0..ix.label_count() as u32 {
+                for t in members(ix.successor_set(s, lid)) {
                     assert!(
                         ix.predecessor_set(t, lid).is_some_and(|p| p.contains(s)),
                         "missing reverse edge {s:?} -{lid}-> {t:?}"
                     );
                 }
-            }
-            for &(lid, ref bits) in ix.predecessor_bits(s) {
-                for p in bits.iter() {
+                for p in members(ix.predecessor_set(s, lid)) {
                     assert!(ix.successor_set(p, lid).is_some_and(|o| o.contains(s)));
                 }
             }
         }
-        assert_eq!(
-            ix.predecessor_set(n[2], road)
-                .map(|b| b.iter().collect::<Vec<_>>()),
-            Some(vec![n[1]])
-        );
+        assert_eq!(members(ix.predecessor_set(n[2], road)), vec![n[1]]);
+        assert_eq!(members(ix.predecessor_set(n[2], train)), vec![n[0]]);
+        assert!(ix.predecessor_set(n[0], road).is_none());
         assert_eq!(ix.label_edge_count(road), 3);
         assert_eq!(ix.label_edge_count(train), 1);
         assert_eq!(ix.nodes_labelled("city").map(DenseSet::len), Some(4));
         assert!(ix.nodes_labelled("station").is_none());
-    }
-
-    #[test]
-    fn out_edges_cover_every_edge_once() {
-        let (g, _) = graph();
-        let ix = GraphIndex::build(&g);
-        let total: usize = g.node_ids().map(|v| ix.out_edges(v).len()).sum();
-        assert_eq!(total, g.edge_count());
-        assert_eq!(ix.node_count(), g.node_count());
     }
 }

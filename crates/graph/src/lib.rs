@@ -58,8 +58,7 @@ pub use pattern::{
     PredTerm, Term, TriplePattern,
 };
 pub use qsession::{
-    enumerate_candidates, evaluate_candidates, CandidateQuery, CseStats, GoalPairsOracle,
-    PairOracle, QueryClass, QuerySession, QuerySessionOutcome,
+    enumerate_candidates, evaluate_candidates, CandidateQuery, CseStats, QueryClass, QuerySession,
 };
 pub use rpq::{evaluate, evaluate_from, simple_paths, Path, PathRegex};
 

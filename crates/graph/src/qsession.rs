@@ -16,6 +16,13 @@
 //! (cross-candidate common-subexpression elimination). The differential suite pins the pooled
 //! answer sets against per-candidate evaluation with fresh caches, and the benchmark's
 //! `qbe-algebra.cache_hit_frac` reports the sharing on served sessions (`perfbench/README.md`).
+//!
+//! A session holds each fact once. The question universe is one sorted list of pairs, and a
+//! pair's question id is its position in that list. Each hypothesis keeps its answer set only
+//! as a bitset over those ids: the learned query's size is a popcount, and its pairs are
+//! rebuilt from the bitset when [`QuerySession::learned_pairs`] asks for them. The session is
+//! driven by the same propose/record loop as every other learner ([`QuerySession::propose`],
+//! [`QuerySession::record`]).
 
 use crate::index::GraphIndex;
 use crate::interactive::PathStrategy;
@@ -174,38 +181,6 @@ pub fn evaluate_candidates(
         .collect()
 }
 
-/// Oracle interface: labels single `(source, target)` pairs.
-pub trait PairOracle {
-    /// Whether the goal query selects the pair.
-    fn label(&mut self, graph: &PropertyGraph, source: GNodeId, target: GNodeId) -> bool;
-}
-
-/// Oracle driven by a hidden goal answer set.
-#[derive(Debug, Clone)]
-pub struct GoalPairsOracle {
-    goal: BTreeSet<(GNodeId, GNodeId)>,
-    questions: usize,
-}
-
-impl GoalPairsOracle {
-    /// Create the oracle from the goal query's answer set.
-    pub fn new(goal: BTreeSet<(GNodeId, GNodeId)>) -> GoalPairsOracle {
-        GoalPairsOracle { goal, questions: 0 }
-    }
-
-    /// Number of questions answered.
-    pub fn questions_asked(&self) -> usize {
-        self.questions
-    }
-}
-
-impl PairOracle for GoalPairsOracle {
-    fn label(&mut self, _graph: &PropertyGraph, source: GNodeId, target: GNodeId) -> bool {
-        self.questions += 1;
-        self.goal.contains(&(source, target))
-    }
-}
-
 /// Cross-candidate evaluation statistics of a session's shared cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CseStats {
@@ -215,30 +190,13 @@ pub struct CseStats {
     pub misses: usize,
 }
 
-/// Result of an interactive query-learning session.
-#[derive(Debug, Clone)]
-pub struct QuerySessionOutcome {
-    /// The learned query, rendered (the most specific candidate consistent with every label).
-    pub learned: String,
-    /// The learned query's answer set.
-    pub learned_pairs: BTreeSet<(GNodeId, GNodeId)>,
-    /// Pairs the user was asked to label.
-    pub interactions: usize,
-    /// Question pairs whose label became inferable without asking.
-    pub inferred: usize,
-    /// Candidates still consistent with every label when the session stopped.
-    pub version_space: usize,
-}
-
 /// One deduplicated hypothesis: a candidate query with its answer set over the question
 /// universe.
 #[derive(Debug, Clone)]
 struct Hypothesis {
     query: CandidateQuery,
-    /// Answer set as a bitset over the question-pair universe.
+    /// The answer set, as a bitset over question ids.
     accepts: DenseSet<usize>,
-    /// The raw answer pairs, for reporting the learned query.
-    pairs: BTreeSet<(GNodeId, GNodeId)>,
 }
 
 /// Interactive session learning one query of a [`QueryClass`] over a typed graph.
@@ -250,13 +208,15 @@ pub struct QuerySession<G: Borrow<PropertyGraph>> {
     store: QueryStore,
     hypotheses: Vec<Hypothesis>,
     alive: DenseSet<usize>,
-    /// The question universe: every pair some candidate selects, in ascending order.
+    /// The question universe: every pair some candidate selects, in ascending order. A
+    /// question's id is its position here.
     questions: Vec<(GNodeId, GNodeId)>,
     /// For each question, how many *alive* hypotheses select it.
     accept_counts: Vec<usize>,
     /// Questions neither asked nor determined (maintained like `PathSession::pool`).
     pool: DenseSet<usize>,
-    labelled: Vec<(usize, bool)>,
+    /// Answers recorded so far.
+    labelled: usize,
     strategy: Box<dyn Strategy>,
     budget: Option<usize>,
     stats: CseStats,
@@ -299,36 +259,29 @@ impl<G: Borrow<PropertyGraph>> QuerySession<G> {
         kept.sort_unstable();
 
         // The question universe: every pair distinguished by some candidate.
-        let universe: BTreeSet<(usize, usize)> = kept
+        let mut questions: Vec<(GNodeId, GNodeId)> = kept
             .iter()
-            .flat_map(|&ix| answers[ix].iter().copied())
-            .collect();
-        let questions: Vec<(GNodeId, GNodeId)> = universe
-            .iter()
+            .flat_map(|&ix| answers[ix].iter())
             .map(|&(s, t)| (GNodeId(s as u32), GNodeId(t as u32)))
             .collect();
-        let q_index: BTreeMap<(usize, usize), usize> = universe
-            .into_iter()
-            .enumerate()
-            .map(|(i, p)| (p, i))
-            .collect();
+        questions.sort_unstable();
+        questions.dedup();
+        questions.shrink_to_fit();
 
         let mut hypotheses = Vec::with_capacity(kept.len());
         let mut accept_counts = vec![0usize; questions.len()];
         for &ix in &kept {
             let mut accepts = DenseSet::new(questions.len());
-            for pair in &answers[ix] {
-                let q = q_index[pair];
+            for &(s, t) in &answers[ix] {
+                let q = questions
+                    .binary_search(&(GNodeId(s as u32), GNodeId(t as u32)))
+                    .expect("every answer pair is a question");
                 accepts.insert(q);
                 accept_counts[q] += 1;
             }
             hypotheses.push(Hypothesis {
                 query: pool[ix].clone(),
                 accepts,
-                pairs: answers[ix]
-                    .iter()
-                    .map(|&(s, t)| (GNodeId(s as u32), GNodeId(t as u32)))
-                    .collect(),
             });
         }
         let alive = DenseSet::full(hypotheses.len());
@@ -341,7 +294,7 @@ impl<G: Borrow<PropertyGraph>> QuerySession<G> {
             questions,
             accept_counts,
             pool,
-            labelled: Vec::new(),
+            labelled: 0,
             strategy: resolved.strategy,
             budget: resolved.budget,
             stats,
@@ -385,7 +338,7 @@ impl<G: Borrow<PropertyGraph>> QuerySession<G> {
 
     /// Number of pairs the user has labelled so far.
     pub fn labelled_count(&self) -> usize {
-        self.labelled.len()
+        self.labelled
     }
 
     /// The most specific surviving candidate: smallest answer set, then smallest query.
@@ -394,20 +347,32 @@ impl<G: Borrow<PropertyGraph>> QuerySession<G> {
         self.alive
             .iter()
             .map(|ix| &self.hypotheses[ix])
-            .min_by_key(|h| (h.pairs.len(), h.query.size(&self.store)))
+            .min_by_key(|h| (h.accepts.len(), h.query.size(&self.store)))
     }
 
-    /// The learned query rendered, with its answer set.
-    pub fn learned(&self) -> (String, BTreeSet<(GNodeId, GNodeId)>) {
+    /// The learned query rendered: the most specific candidate consistent with every label.
+    pub fn learned_query(&self) -> String {
         match self.most_specific() {
-            Some(h) => (h.query.render(&self.store), h.pairs.clone()),
-            None => ("∅ (inconsistent labels)".to_string(), BTreeSet::new()),
+            Some(h) => h.query.render(&self.store),
+            None => "∅ (inconsistent labels)".to_string(),
         }
+    }
+
+    /// The size of the learned query's answer set (0 when the labels are inconsistent).
+    pub fn learned_answer_count(&self) -> usize {
+        self.most_specific().map_or(0, |h| h.accepts.len())
+    }
+
+    /// The learned query's answer set, built from its bitset on request.
+    pub fn learned_pairs(&self) -> BTreeSet<(GNodeId, GNodeId)> {
+        self.most_specific()
+            .map(|h| h.accepts.iter().map(|q| self.questions[q]).collect())
+            .unwrap_or_default()
     }
 
     /// Record a user label and prune the version space.
     pub fn record(&mut self, question_ix: usize, positive: bool) {
-        self.labelled.push((question_ix, positive));
+        self.labelled += 1;
         self.pool.remove(question_ix);
         let dead: Vec<usize> = self
             .alive
@@ -425,7 +390,7 @@ impl<G: Borrow<PropertyGraph>> QuerySession<G> {
     /// Propose the next informative pair to ask about, or `None` when every pair's label is
     /// determined by the version space (or the budget is spent).
     pub fn propose(&mut self) -> Option<usize> {
-        if self.budget.is_some_and(|cap| self.labelled.len() >= cap) {
+        if self.budget.is_some_and(|cap| self.labelled >= cap) {
             return None;
         }
         let total = self.alive.len();
@@ -457,29 +422,11 @@ impl<G: Borrow<PropertyGraph>> QuerySession<G> {
             })
             .collect();
         let view = PoolView {
-            asked: self.labelled.len(),
+            asked: self.labelled,
             candidates: &candidates,
         };
         let pick = self.strategy.pick(&view)?;
         informative.get(pick).copied()
-    }
-
-    /// Run the loop until no informative pair remains.
-    pub fn run(mut self, oracle: &mut dyn PairOracle) -> QuerySessionOutcome {
-        while let Some(q) = self.propose() {
-            let (s, t) = self.questions[q];
-            let label = oracle.label(self.graph.borrow(), s, t);
-            self.record(q, label);
-        }
-        let (learned, learned_pairs) = self.learned();
-        let interactions = self.labelled.len();
-        QuerySessionOutcome {
-            learned,
-            learned_pairs,
-            interactions,
-            inferred: self.questions.len().saturating_sub(interactions),
-            version_space: self.alive.len(),
-        }
     }
 }
 
@@ -515,22 +462,65 @@ mod tests {
             .collect()
     }
 
+    /// Answer every proposed question by membership in `goal` until the session stops.
+    fn run_to_goal(
+        session: &mut QuerySession<&PropertyGraph>,
+        goal: &BTreeSet<(GNodeId, GNodeId)>,
+    ) {
+        while let Some(q) = session.propose() {
+            let positive = goal.contains(&session.question_pair(q));
+            session.record(q, positive);
+        }
+    }
+
     #[test]
     fn sessions_converge_to_the_goal_for_every_class() {
         let typed = typed_graph();
         for class in QueryClass::ALL {
             for pick in [1, 7, 20] {
                 let goal = goal_pairs(&typed, class, pick);
-                let mut oracle = GoalPairsOracle::new(goal.clone());
-                let outcome = QuerySession::new(&typed, class, 3).run(&mut oracle);
+                let mut session = QuerySession::new(&typed, class, 3);
+                run_to_goal(&mut session, &goal);
                 assert_eq!(
-                    outcome.learned_pairs,
+                    session.learned_pairs(),
                     goal,
                     "{} candidate {pick} learned {}",
                     class.wire_name(),
-                    outcome.learned
+                    session.learned_query()
                 );
-                assert!(outcome.version_space >= 1);
+                assert_eq!(session.learned_answer_count(), goal.len());
+                assert!(session.version_space_size() >= 1);
+            }
+        }
+    }
+
+    #[test]
+    fn questions_ascend_and_each_bitset_is_its_candidates_answer_set() {
+        let typed = typed_graph();
+        let index = GraphIndex::build(&typed);
+        for class in QueryClass::ALL {
+            let session = QuerySession::new(&typed, class, 0);
+            assert!(
+                session.questions.windows(2).all(|w| w[0] < w[1]),
+                "question ids follow the pairs' ascending order, without repeats"
+            );
+            let queries: Vec<CandidateQuery> =
+                session.hypotheses.iter().map(|h| h.query.clone()).collect();
+            let answers =
+                evaluate_candidates(&session.store, &index, &mut EvalCache::new(), &queries);
+            for (h, answer) in session.hypotheses.iter().zip(&answers) {
+                let from_bits: BTreeSet<(usize, usize)> = h
+                    .accepts
+                    .iter()
+                    .map(|q| session.questions[q])
+                    .map(|(s, t)| (s.0 as usize, t.0 as usize))
+                    .collect();
+                assert_eq!(&from_bits, answer, "{}", h.query.render(&session.store));
+            }
+            // Every question is some candidate's answer, and counted once per acceptor.
+            for (q, &count) in session.accept_counts.iter().enumerate() {
+                let acceptors = session.hypotheses.iter().filter(|h| h.accepts.contains(q));
+                assert!(count > 0 && count == acceptors.count(), "question {q}");
             }
         }
     }
@@ -586,11 +576,11 @@ mod tests {
     #[test]
     fn budget_caps_interactions() {
         let typed = typed_graph();
-        let mut oracle = GoalPairsOracle::new(goal_pairs(&typed, QueryClass::Rpq, 1));
-        let outcome =
-            QuerySession::with_config(&typed, QueryClass::Rpq, SessionConfig::new().budget(2))
-                .run(&mut oracle);
-        assert!(outcome.interactions <= 2);
+        let goal = goal_pairs(&typed, QueryClass::Rpq, 1);
+        let mut session =
+            QuerySession::with_config(&typed, QueryClass::Rpq, SessionConfig::new().budget(2));
+        run_to_goal(&mut session, &goal);
+        assert!(session.labelled_count() <= 2);
     }
 
     #[test]
@@ -606,7 +596,7 @@ mod tests {
         while let Some(next) = session.propose() {
             session.record(next, false);
         }
-        let (learned, _) = session.learned();
+        let learned = session.learned_query();
         assert!(!learned.is_empty());
         assert!(session.version_space_size() >= 1 || learned.contains("inconsistent"));
     }

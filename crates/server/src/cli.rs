@@ -16,6 +16,7 @@
 
 use crate::client::{drive_goal_session, Client, Goal};
 use crate::server::{spawn, RateLimit, ServerConfig};
+use qbe_core::graph::QueryClass;
 
 /// The serving flags, each with whether it takes a value.
 const FLAGS: &[(&str, bool)] = &[
@@ -148,7 +149,7 @@ fn run_smoke() -> i32 {
         "session", "questions", "answer-set", "ok"
     );
     type SmokeSession = (&'static str, Goal, Vec<(&'static str, &'static str)>);
-    let sessions: [SmokeSession; 3] = [
+    let sessions: [SmokeSession; 4] = [
         (
             "twig //person/name",
             Goal::Twig("//person/name".to_string()),
@@ -160,10 +161,11 @@ fn run_smoke() -> i32 {
             vec![("to", "city3")],
         ),
         ("join demo", Goal::Join, vec![]),
+        ("graph rpq demo", Goal::GraphPairs(QueryClass::Rpq), vec![]),
     ];
     let mut failures = 0;
-    for (label, goal, params) in sessions {
-        match drive_goal_session(addr, "tiny", &goal, &params) {
+    for (label, goal, params) in &sessions {
+        match drive_goal_session(addr, "tiny", goal, params) {
             Ok(outcome) => {
                 println!(
                     "{:<28} {:>10} {:>12} {:>6}  {}",
@@ -189,8 +191,11 @@ fn run_smoke() -> i32 {
             println!("metrics: {}", line.join(" "));
             let sessions_served = crate::protocol::field_value(&metrics, "sessions")
                 .and_then(|v| v.parse::<usize>().ok());
-            if sessions_served != Some(3) {
-                eprintln!("expected 3 served sessions, metrics say {sessions_served:?}");
+            if sessions_served != Some(sessions.len()) {
+                eprintln!(
+                    "expected {} served sessions, metrics say {sessions_served:?}",
+                    sessions.len()
+                );
                 failures += 1;
             }
         }

@@ -7,10 +7,10 @@
 //! exactly what the loopback integration tests, the `server_soak` bench and the binary's
 //! `--smoke` mode need. A real deployment replaces this layer with a human.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::io::{self, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use qbe_core::algebra::{ConjQuery, EvalCache, PathAtom, QueryStore, Term as AlgTerm};
@@ -19,45 +19,24 @@ use qbe_core::twig::interactive::{GoalNodeOracle, NodeOracle};
 use qbe_core::twig::parse_xpath;
 use qbe_core::xml::NodeId;
 
-use crate::corpus::{build_corpus, Corpus};
+use crate::corpus::{Corpus, CorpusStore};
 use crate::protocol::{field_value, parse_fields_line, Model, MAX_LINE_BYTES};
 use crate::server::{read_line_bounded, LineError};
 
-/// Process-wide cache of locally rebuilt corpora: goal-driven clients re-derive the *same*
+/// The process-wide store of client-side corpora. Goal-driven clients re-derive the *same*
 /// deterministic corpus for every session they run (often hundreds in a bench), and building
-/// documents plus indexes per session would dwarf the protocol work being measured.
-static LOCAL_CORPORA: OnceLock<Mutex<HashMap<String, Arc<Corpus>>>> = OnceLock::new();
-
-/// The client-side copy of the named corpus, built on first request and shared (behind an
-/// `Arc`) by every later [`drive_goal_session`] of this process — mirroring the server's
-/// [`CorpusStore`](crate::corpus::CorpusStore) contract of one builder, everyone else waits
-/// and shares. `None` for unknown names.
-pub fn local_corpus(name: &str) -> Option<Arc<Corpus>> {
-    let cache = LOCAL_CORPORA.get_or_init(|| Mutex::new(HashMap::new()));
-    let mut map = cache
-        .lock()
-        .expect("local corpus cache lock never poisoned");
-    if let Some(corpus) = map.get(name) {
-        return Some(corpus.clone());
-    }
-    let corpus = Arc::new(build_corpus(name)?);
-    map.insert(name.to_string(), corpus.clone());
-    Some(corpus)
+/// documents plus indexes per session would dwarf the protocol work being measured. It is the
+/// server's own [`CorpusStore`]: one builder per name, everyone else waits and shares, and
+/// first requests for different names build concurrently.
+pub fn local_corpora() -> &'static CorpusStore {
+    static LOCAL: OnceLock<CorpusStore> = OnceLock::new();
+    LOCAL.get_or_init(CorpusStore::new)
 }
 
-/// How many distinct corpora this process has built client-side so far. Because the cache
-/// never evicts, the count per name can only ever be 0 or 1 — the loopback tests assert the
-/// cache hit through it.
-pub fn local_corpus_builds() -> usize {
-    LOCAL_CORPORA
-        .get()
-        .map(|cache| {
-            cache
-                .lock()
-                .expect("local corpus cache lock never poisoned")
-                .len()
-        })
-        .unwrap_or(0)
+/// The client-side copy of the named corpus, built on first request and shared (behind an
+/// `Arc`) by every later [`drive_goal_session`] of this process. `None` for unknown names.
+pub fn local_corpus(name: &str) -> Option<Arc<Corpus>> {
+    local_corpora().get_or_build(name)
 }
 
 /// Reply to an `ASK`.

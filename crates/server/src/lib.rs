@@ -9,7 +9,7 @@
 //! multiplexing many users' learning sessions over corpora that are built once and shared
 //! behind `Arc`s. One event-driven engine serves the protocol: an epoll readiness loop in a
 //! single reactor thread plus a fixed worker pool — 10k+ concurrent connections on commodity
-//! fd limits. Serving is Linux-only.
+//! fd limits. Serving is 64-bit Linux on x86_64 or aarch64 only.
 //!
 //! A session, over the wire:
 //!
@@ -56,7 +56,7 @@ pub mod server;
 mod workers;
 
 pub use client::{
-    demo_graph_goal_pairs, drive_goal_session, local_corpus, local_corpus_builds, AskReply, Client,
+    demo_graph_goal_pairs, drive_goal_session, local_corpora, local_corpus, AskReply, Client,
     ClientError, Goal,
 };
 pub use corpus::{build_corpus, Corpus, CorpusError, CorpusStore, CORPUS_NAMES};

@@ -99,9 +99,10 @@ pub(crate) fn replay(
         let mut learner = build_learner(&corpus, model, &draft.params)
             .map_err(|why| format!("session {id} cannot be rebuilt: {why}"))?;
         for (n, positive) in draft.answers.iter().enumerate() {
-            // Materialise the pending question the original session answered; only accepted
-            // answers were logged, so a refusal here means the log and the factory disagree.
-            if learner.propose().is_none() {
+            // Advance to the pending question the original session answered, without
+            // rendering it; only accepted answers were logged, so a refusal here means the log
+            // and the factory disagree.
+            if !learner.propose_pending() {
                 return Err(format!(
                     "session {id}: log holds {} answers but the learner finished after {n}",
                     draft.answers.len()

@@ -4,9 +4,11 @@
 //! This module declares the few C symbols std has no wrapper for (they are already linked —
 //! std links the platform libc) and wraps them in a safe, deliberately minimal [`Poller`]
 //! API: register/modify/deregister a file descriptor under a `u64` token, wait for readiness
-//! with a timeout. The declarations and constants are the Linux ABI's, so the crate refuses
-//! to build for any other target. All `unsafe` in the crate lives here, behind invariants
-//! small enough to state inline:
+//! with a timeout. The declarations and constants are those of 64-bit Linux on x86_64 and
+//! aarch64, so the crate refuses to build for any other target: `rlim_t` is 32-bit on 32-bit
+//! targets, `RLIMIT_NOFILE` is 5 on MIPS, and `EPOLL_CLOEXEC` follows `O_CLOEXEC`, which
+//! differs on SPARC, Alpha and PA-RISC. All `unsafe` in the crate lives here, behind
+//! invariants small enough to state inline:
 //!
 //! * every registered fd outlives its registration (the reactor owns the socket and
 //!   deregisters before dropping it);
@@ -17,8 +19,15 @@
 //! reactor from `wait` without touching any of its state.
 #![allow(unsafe_code)]
 
-#[cfg(not(target_os = "linux"))]
-compile_error!("qbe-server serves from Linux only: its readiness loop is epoll");
+#[cfg(not(all(
+    target_os = "linux",
+    target_pointer_width = "64",
+    any(target_arch = "x86_64", target_arch = "aarch64")
+)))]
+compile_error!(
+    "qbe-server serves from 64-bit Linux on x86_64 or aarch64 only: its epoll and rlimit \
+     declarations follow those targets' ABI"
+);
 
 use std::io::{self, Read, Write};
 use std::os::fd::{AsRawFd, FromRawFd, OwnedFd, RawFd};
@@ -56,10 +65,10 @@ fn timeout_ms(timeout: Option<Duration>) -> c_int {
     }
 }
 
-// The kernel ABI packs `struct epoll_event` on x86; other architectures use natural
-// alignment. Mirrors glibc's `__EPOLL_PACKED`.
-#[cfg_attr(any(target_arch = "x86", target_arch = "x86_64"), repr(C, packed))]
-#[cfg_attr(not(any(target_arch = "x86", target_arch = "x86_64")), repr(C))]
+// The kernel ABI packs `struct epoll_event` on x86_64; aarch64 uses natural alignment.
+// Mirrors glibc's `__EPOLL_PACKED`.
+#[cfg_attr(target_arch = "x86_64", repr(C, packed))]
+#[cfg_attr(not(target_arch = "x86_64"), repr(C))]
 #[derive(Clone, Copy)]
 struct EpollEvent {
     events: u32,
@@ -74,6 +83,7 @@ const EPOLLRDHUP: u32 = 0x2000;
 const EPOLL_CTL_ADD: c_int = 1;
 const EPOLL_CTL_DEL: c_int = 2;
 const EPOLL_CTL_MOD: c_int = 3;
+/// `O_CLOEXEC` on x86_64 and aarch64 (SPARC, Alpha and PA-RISC use other values).
 const EPOLL_CLOEXEC: c_int = 0o2000000;
 
 extern "C" {
@@ -218,12 +228,14 @@ pub fn waker_pair() -> io::Result<(WakeReader, Waker)> {
     ))
 }
 
+/// `struct rlimit`: `rlim_t` is `unsigned long`, 64-bit on every target this module builds for.
 #[repr(C)]
 struct RLimit {
     rlim_cur: u64,
     rlim_max: u64,
 }
 
+/// `RLIMIT_NOFILE` on x86_64 and aarch64 (MIPS, which this module does not build for, uses 5).
 const RLIMIT_NOFILE: c_int = 7;
 
 /// The current soft limit on open file descriptors, if the OS reports one. The 10k-connection

@@ -6,18 +6,19 @@
 //! so concurrent connections asking questions on different sessions never contend on one global
 //! lock; a shard is held only for the duration of one command.
 //!
-//! Completed sessions fold into running aggregates (session/success/question counters plus an
-//! incrementally sorted question-count list — 8 bytes per session served), so a `METRICS`
-//! request is O(1): no per-request clone or sort of the service's whole history. Question
-//! percentiles are nearest-rank ([`percentile_sorted`]), the definition `exp_strategies` prints
-//! too.
+//! Completed sessions fold into running aggregates: session, success and question counters,
+//! plus how many sessions asked each distinct number of questions. That histogram grows with
+//! the number of distinct counts, not with the sessions served, so a completion is one map
+//! update and a `METRICS` request walks a few entries, never the service's whole history.
+//! Question percentiles are nearest-rank ([`percentile_sorted`](qbe_core::percentile_sorted)),
+//! the definition `exp_strategies` prints too.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-use qbe_core::percentile_sorted;
+use qbe_core::nearest_rank_index;
 use qbe_core::session::InteractiveLearner;
 
 /// Number of mutex shards. A small power of two: enough to decorrelate a few hundred
@@ -43,21 +44,34 @@ struct Entry {
 /// Running aggregates over every completed session.
 #[derive(Debug, Default)]
 struct CompletedLog {
+    sessions: usize,
     successes: usize,
     total_questions: usize,
     total_wall: Duration,
-    /// Question counts of all completed sessions, kept sorted by binary insertion so
-    /// percentile queries are index lookups ([`percentile_sorted`]).
-    sorted_questions: Vec<usize>,
+    /// Question count → how many completed sessions asked that many questions.
+    sessions_by_questions: BTreeMap<usize, u64>,
 }
 
 impl CompletedLog {
     fn fold(&mut self, questions: usize, success: bool, wall: Duration) {
+        self.sessions += 1;
         self.successes += usize::from(success);
         self.total_questions += questions;
         self.total_wall += wall;
-        let at = self.sorted_questions.partition_point(|&q| q <= questions);
-        self.sorted_questions.insert(at, questions);
+        *self.sessions_by_questions.entry(questions).or_default() += 1;
+    }
+
+    /// The nearest-rank `p`-th percentile of the question counts: the value
+    /// [`percentile_sorted`](qbe_core::percentile_sorted) reads from their sorted list.
+    fn questions_percentile(&self, p: f64) -> Option<usize> {
+        let ix = nearest_rank_index(self.sessions, p)? as u64;
+        let mut upto = 0u64;
+        self.sessions_by_questions
+            .iter()
+            .find_map(|(&questions, &n)| {
+                upto += n;
+                (upto > ix).then_some(questions)
+            })
     }
 }
 
@@ -330,11 +344,11 @@ impl SessionRegistry {
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
         ServiceMetrics {
-            sessions: log.sorted_questions.len(),
+            sessions: log.sessions,
             successes: log.successes,
             total_questions: log.total_questions,
-            p50_questions: percentile_sorted(&log.sorted_questions, 50.0),
-            p95_questions: percentile_sorted(&log.sorted_questions, 95.0),
+            p50_questions: log.questions_percentile(50.0),
+            p95_questions: log.questions_percentile(95.0),
             total_wall: log.total_wall,
             uptime: self.opened.elapsed().max(Duration::from_micros(1)),
             rejected: self.rejected.load(Ordering::Relaxed),
@@ -415,6 +429,27 @@ mod tests {
         assert_eq!(metrics.p50_questions, Some(per_session));
         assert_eq!(metrics.p95_questions, Some(per_session));
         assert_eq!(metrics.mean_questions(), Some(per_session as f64));
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn question_percentiles_equal_the_sorted_list_percentiles(
+            questions in proptest::collection::vec(0usize..40, 0..200),
+        ) {
+            let mut log = CompletedLog::default();
+            for &q in &questions {
+                log.fold(q, true, Duration::ZERO);
+            }
+            let mut sorted = questions.clone();
+            sorted.sort_unstable();
+            for p in [0.0, 50.0, 95.0, 100.0] {
+                proptest::prop_assert_eq!(
+                    log.questions_percentile(p),
+                    qbe_core::percentile_sorted(&sorted, p),
+                    "p{}", p
+                );
+            }
+        }
     }
 
     #[test]

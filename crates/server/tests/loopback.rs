@@ -348,10 +348,10 @@ fn goal_driven_clients_rebuild_each_corpus_once_per_process() {
         std::sync::Arc::ptr_eq(&a, &b),
         "later requests share the cached corpus"
     );
-    // The cache never evicts, so each name is built at most once per process — even though
+    // The store never evicts, so each name is built at most once per process — even though
     // other loopback tests in this binary drive sessions concurrently.
     assert!(
-        qbe_server::local_corpus_builds() <= qbe_server::CORPUS_NAMES.len(),
+        qbe_server::local_corpora().built() <= qbe_server::CORPUS_NAMES.len(),
         "at most one client-side build per corpus name"
     );
     assert!(qbe_server::local_corpus("gigantic").is_none());

@@ -9,10 +9,14 @@
 //! If a deliberate strategy change moves these numbers, update the pins in the same commit and
 //! say why in its message.
 
+use qbe_core::algebra::{ConjQuery, EvalCache, PathAtom, QueryStore, Term};
 use qbe_core::graph::interactive::{
     interactive_path_learn, GoalPathOracle, PathConstraint, PathSession, PathStrategy,
 };
-use qbe_core::graph::{generate_geo_graph, GeoConfig};
+use qbe_core::graph::{
+    eval_conj_tuples, eval_expr_pairs, generate_geo_graph, typed_road_view, GNodeId, GeoConfig,
+    GraphIndex, PropertyGraph, QueryClass,
+};
 use qbe_core::relational::chain::{
     generate_chain_instance, interactive_chain_learn, ChainInstanceConfig,
 };
@@ -26,7 +30,8 @@ use qbe_core::twig::{
 };
 use qbe_core::xml::xmark::{corpus_by_name, generate, XmarkConfig};
 use qbe_core::xml::{NodeIndex, XmlTree};
-use qbe_core::SessionConfig;
+use qbe_core::{drive, GraphQueryInteractive, InteractiveLearner, SessionConfig};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 fn named(strategy: &str, seed: u64) -> SessionConfig {
@@ -295,6 +300,125 @@ fn path_session_question_counts_are_pinned() {
         // The learned constraint still classifies every candidate like the goal.
         for p in &outcome.candidates {
             assert_eq!(outcome.learned.accepts(&graph, p), goal.accepts(&graph, p));
+        }
+    }
+}
+
+/// The demo goal of each graph query class, as the server's simulated clients define it: `t₀⁺`
+/// for rpq, `t₀/t₀⁻` for 2rpq and `x —t₀→ y ∧ x —t₁→ y` for crpq, where `tᵢ` is the typed
+/// graph's `i`-th edge label.
+fn demo_graph_goal(typed: &PropertyGraph, class: QueryClass) -> BTreeSet<(GNodeId, GNodeId)> {
+    let alphabet = typed.edge_alphabet();
+    let index = GraphIndex::build(typed);
+    let mut store = QueryStore::new();
+    let mut cache = EvalCache::new();
+    let first = store.label(&alphabet[0]);
+    match class {
+        QueryClass::Rpq => {
+            let goal = store.plus(first);
+            eval_expr_pairs(&index, &store, &mut cache, goal)
+        }
+        QueryClass::TwoRpq => {
+            let inv = store.inv_label(&alphabet[0]);
+            let goal = store.concat([first, inv]);
+            eval_expr_pairs(&index, &store, &mut cache, goal)
+        }
+        QueryClass::Crpq => {
+            let (x, y) = (store.sym("x"), store.sym("y"));
+            let second = store.label(&alphabet[1]);
+            let atom = |expr| PathAtom {
+                subject: Term::Var(x),
+                expr,
+                object: Term::Var(y),
+            };
+            let goal = ConjQuery::new(vec![atom(first), atom(second)], vec![x, y]);
+            eval_conj_tuples(&index, &store, &mut cache, &goal)
+                .into_iter()
+                .map(|t| (t[0], t[1]))
+                .collect()
+        }
+    }
+}
+
+/// Graph query sessions on the served `medium` corpus's typed road view (256 cities), each
+/// class against its demo goal, under the default `halving` strategy and the four shipped
+/// ones at seed 7: the first question asked (its wire fields, so the question ids are pinned
+/// too), the question count, and the learned query's `QUERY` text and `EVAL` size.
+#[test]
+fn graph_session_question_counts_are_pinned() {
+    let typed = Arc::new(typed_road_view(&generate_geo_graph(&GeoConfig {
+        cities: 256,
+        connectivity: 3,
+        ..Default::default()
+    })));
+    const RPQ: &str = "(highway)+";
+    const TWO_RPQ: &str = "highway/highway^-";
+    const CRPQ: &str = "SELECT ?x,?y WHERE ?x -[highway]-> ?y AND ?x -[local]-> ?y";
+    const FIRST_PAIR: &str = "pair=0 source=city0 target=city1 source_id=0 target_id=1";
+    const SECOND_PAIR: &str = "pair=1 source=city0 target=city2 source_id=0 target_id=2";
+    const LOOP_PAIR: &str = "pair=0 source=city0 target=city0 source_id=0 target_id=0";
+    const RANDOM_PAIR: &str = "pair=6972 source=city61 target=city90 source_id=61 target_id=90";
+    const HALVING_PAIR: &str = "pair=2281 source=city20 target=city21 source_id=20 target_id=21";
+    type Pin = (&'static str, &'static str, usize, &'static str, usize);
+    let cases: [(QueryClass, [Pin; 5]); 3] = [
+        (
+            QueryClass::Rpq,
+            [
+                ("halving", SECOND_PAIR, 4, RPQ, 6_328),
+                ("paper-order", FIRST_PAIR, 3, RPQ, 6_328),
+                (
+                    "random",
+                    "pair=3934 source=city43 target=city65 source_id=43 target_id=65",
+                    1,
+                    RPQ,
+                    6_328,
+                ),
+                ("max-coverage", SECOND_PAIR, 4, RPQ, 6_328),
+                ("cheapest-first", FIRST_PAIR, 3, RPQ, 6_328),
+            ],
+        ),
+        (
+            QueryClass::TwoRpq,
+            [
+                ("halving", HALVING_PAIR, 7, TWO_RPQ, 112),
+                ("paper-order", LOOP_PAIR, 4, TWO_RPQ, 112),
+                ("random", RANDOM_PAIR, 11, TWO_RPQ, 112),
+                ("max-coverage", HALVING_PAIR, 7, TWO_RPQ, 112),
+                ("cheapest-first", LOOP_PAIR, 4, TWO_RPQ, 112),
+            ],
+        ),
+        (
+            QueryClass::Crpq,
+            [
+                ("halving", HALVING_PAIR, 6, CRPQ, 42),
+                ("paper-order", LOOP_PAIR, 8, CRPQ, 42),
+                ("random", RANDOM_PAIR, 27, CRPQ, 42),
+                ("max-coverage", HALVING_PAIR, 6, CRPQ, 42),
+                ("cheapest-first", LOOP_PAIR, 8, CRPQ, 42),
+            ],
+        ),
+    ];
+    for (class, pins) in cases {
+        let goal = demo_graph_goal(&typed, class);
+        for (strategy, first, questions, query, eval) in pins {
+            let config = match strategy {
+                "halving" => SessionConfig::new().seed(7),
+                shipped => named(shipped, 7),
+            };
+            let mut learner = GraphQueryInteractive::with_config(typed.clone(), class, config)
+                .with_goal(goal.clone());
+            let what = format!("{} with {strategy}", class.wire_name());
+            let asked = learner.propose().map(|q| q.to_string());
+            assert_eq!(asked.as_deref(), Some(first), "{what}: first question");
+            let report = drive(&mut learner);
+            assert!(report.success, "{what}");
+            assert_eq!(report.questions, questions, "{what}: question count");
+            assert_eq!(
+                learner.hypothesis().as_deref(),
+                Some(query),
+                "{what}: QUERY"
+            );
+            assert_eq!(learner.answer_set_size(), eval, "{what}: EVAL");
         }
     }
 }
