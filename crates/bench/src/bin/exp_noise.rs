@@ -16,7 +16,8 @@
 //! * **converged** — learned hypothesis is byte-equal to the clean run's.
 //!
 //! Results go to stdout as a table and to JSON (default `BENCH_PR10.json`, override with
-//! `--out <path>`). `--smoke` shrinks the grid to CI size.
+//! `--out <path>`). `--smoke` shrinks the grid to CI size and writes JSON only to the path
+//! `--out` names, so a smoke run never overwrites the full-grid snapshot.
 
 use qbe_core::faults::{FaultProfile, FaultRegistry, SiteConfig};
 use qbe_core::graph::QueryClass;
@@ -208,10 +209,12 @@ fn main() {
         args.iter()
             .position(|a| a == "--out")
             .and_then(|ix| args.get(ix + 1).cloned())
-            .unwrap_or_else(|| "BENCH_PR10.json".to_string())
+            .or_else(|| (!smoke).then(|| "BENCH_PR10.json".to_string()))
     };
-    let json = json_escape_free(&curves, smoke, reps, server_profile);
-    std::fs::write(&out_path, json).expect("snapshot file is writable");
-    println!("snapshot written to {out_path}");
+    if let Some(out_path) = out_path {
+        let json = json_escape_free(&curves, smoke, reps, server_profile);
+        std::fs::write(&out_path, json).expect("snapshot file is writable");
+        println!("snapshot written to {out_path}");
+    }
     assert_eq!(failures, 0, "{failures} cell(s) failed to converge");
 }

@@ -433,12 +433,6 @@ impl PathInteractive {
         self
     }
 
-    /// Provide constraints learned for previous users (the workload prior).
-    pub fn with_workload(mut self, workload: Vec<PathConstraint>) -> PathInteractive {
-        self.session = self.session.with_workload(workload);
-        self
-    }
-
     /// The underlying session.
     pub fn session(&self) -> &PathSession<Arc<PropertyGraph>> {
         &self.session

@@ -21,6 +21,10 @@
 //! rows, and the "is this path still informative?" test is a counter comparison rather than a
 //! rescan of the whole hypothesis space. Proposal strategies include a workload prior that asks
 //! first about paths similar to queries learned for previous users.
+//!
+//! A session is driven by alternating [`PathSession::propose`] and [`PathSession::record`].
+//! [`interactive_path_learn`] runs that loop against a goal constraint for callers below
+//! `qbe-core`; above it, `qbe_core::drive` runs it over the `PathInteractive` adapter.
 
 use crate::model::{GNodeId, PropertyGraph};
 use crate::rpq::{simple_paths, Path};
@@ -197,38 +201,6 @@ impl Strategy for WorkloadPrior {
 
     fn pick(&mut self, pool: &PoolView<'_>) -> Option<usize> {
         pick_first_max_by(pool.candidates, |c| (c.prior, c.informativeness))
-    }
-}
-
-/// Oracle interface: labels whole paths.
-pub trait PathOracle {
-    /// Whether the user accepts the proposed path.
-    fn label(&mut self, graph: &PropertyGraph, path: &Path) -> bool;
-}
-
-/// Oracle driven by a hidden goal constraint.
-#[derive(Debug, Clone)]
-pub struct GoalPathOracle {
-    goal: PathConstraint,
-    questions: usize,
-}
-
-impl GoalPathOracle {
-    /// Create the oracle.
-    pub fn new(goal: PathConstraint) -> GoalPathOracle {
-        GoalPathOracle { goal, questions: 0 }
-    }
-
-    /// Number of questions answered.
-    pub fn questions_asked(&self) -> usize {
-        self.questions
-    }
-}
-
-impl PathOracle for GoalPathOracle {
-    fn label(&mut self, graph: &PropertyGraph, path: &Path) -> bool {
-        self.questions += 1;
-        self.goal.accepts(graph, path)
     }
 }
 
@@ -473,12 +445,6 @@ impl<G: Borrow<PropertyGraph>> PathSession<G> {
         self.strategy.name()
     }
 
-    /// Provide constraints learned for previous users (the "query workload").
-    pub fn with_workload(mut self, workload: Vec<PathConstraint>) -> PathSession<G> {
-        self.workload = workload;
-        self
-    }
-
     /// The graph the session ranges over.
     pub fn graph(&self) -> &PropertyGraph {
         self.graph.borrow()
@@ -616,7 +582,7 @@ impl<G: Borrow<PropertyGraph>> PathSession<G> {
 
     /// Propose the next informative path to show the user, or `None` when every candidate's
     /// label is determined by the version space (or the question budget is spent). Callers
-    /// alternate `propose` with [`Self::record`]; [`Self::run`] loops to completion.
+    /// alternate `propose` with [`Self::record`].
     pub fn propose(&mut self) -> Option<usize> {
         if self.budget.is_some_and(|cap| self.labelled.len() >= cap) {
             return None;
@@ -656,35 +622,10 @@ impl<G: Borrow<PropertyGraph>> PathSession<G> {
     pub fn informative_pool(&self) -> Vec<usize> {
         self.pool.iter().collect()
     }
-
-    /// Run the loop until no informative path remains.
-    pub fn run(mut self, oracle: &mut dyn PathOracle) -> PathSessionOutcome {
-        while let Some(ix) = self.propose() {
-            let label = oracle.label(self.graph.borrow(), &self.candidates[ix]);
-            self.record(ix, label);
-        }
-        // The most specific surviving hypothesis: the one accepting the fewest candidate paths.
-        let learned = self.most_specific();
-        let accepted_paths: Vec<Path> = self
-            .candidates
-            .iter()
-            .zip(&self.features)
-            .filter(|(_, f)| learned.accepts_features(f))
-            .map(|(p, _)| p.clone())
-            .collect();
-        let interactions = self.labelled.len();
-        PathSessionOutcome {
-            version_space: self.rows.into_iter().map(|r| r.constraint).collect(),
-            learned,
-            interactions,
-            inferred: self.candidates.len().saturating_sub(interactions),
-            candidates: self.candidates,
-            accepted_paths,
-        }
-    }
 }
 
-/// Convenience wrapper: run one user's session against a goal constraint.
+/// Run one user's session against a goal constraint: alternate [`PathSession::propose`] and
+/// [`PathSession::record`], labelling each path by `goal`, until no informative path remains.
 pub fn interactive_path_learn(
     graph: &PropertyGraph,
     from: GNodeId,
@@ -694,10 +635,30 @@ pub fn interactive_path_learn(
     workload: Vec<PathConstraint>,
     seed: u64,
 ) -> PathSessionOutcome {
-    let mut oracle = GoalPathOracle::new(goal.clone());
-    PathSession::new(graph, from, to, 8, strategy, seed)
-        .with_workload(workload)
-        .run(&mut oracle)
+    let mut session = PathSession::new(graph, from, to, 8, strategy, seed);
+    session.workload = workload;
+    while let Some(ix) = session.propose() {
+        let label = goal.accepts_features(&session.features[ix]);
+        session.record(ix, label);
+    }
+    // The most specific surviving hypothesis: the one accepting the fewest candidate paths.
+    let learned = session.most_specific();
+    let accepted_paths: Vec<Path> = session
+        .candidates
+        .iter()
+        .zip(&session.features)
+        .filter(|(_, f)| learned.accepts_features(f))
+        .map(|(p, _)| p.clone())
+        .collect();
+    let interactions = session.labelled.len();
+    PathSessionOutcome {
+        version_space: session.rows.into_iter().map(|r| r.constraint).collect(),
+        learned,
+        interactions,
+        inferred: session.candidates.len().saturating_sub(interactions),
+        candidates: session.candidates,
+        accepted_paths,
+    }
 }
 
 #[cfg(test)]
@@ -883,7 +844,7 @@ mod tests {
         // direct per-candidate constraint evaluation (the executable spec).
         let (g, from, to) = setup();
         let mut session = PathSession::new(&g, from, to, 6, PathStrategy::Halving, 0);
-        let mut oracle = GoalPathOracle::new(highway_goal());
+        let goal = highway_goal();
         let mut rounds = 0;
         loop {
             for row in &session.rows {
@@ -897,7 +858,7 @@ mod tests {
                 }
             }
             let Some(ix) = session.propose() else { break };
-            let label = oracle.label(&g, &session.candidates[ix]);
+            let label = goal.accepts(&g, &session.candidates[ix]);
             session.record(ix, label);
             rounds += 1;
         }

@@ -12,7 +12,7 @@
 //!   paths;
 //! * [`interactive`] — the interactive path-labelling framework of the geographical use case,
 //!   with constraint hypotheses (road type, total distance, via-city), version-space pruning and
-//!   workload priors;
+//!   workload priors; [`interactive_path_learn`] runs one session against a goal constraint;
 //! * [`geo`] — the geographical database generator (cities, roads with distance and type);
 //! * [`nre`] — nested regular expressions and their conjunctions (the Barceló et al. mapping
 //!   building blocks);
@@ -40,8 +40,7 @@ pub mod rpq;
 pub use geo::{generate_geo_graph, GeoConfig, ROAD_TYPES};
 pub use index::GraphIndex;
 pub use interactive::{
-    interactive_path_learn, GoalPathOracle, PathConstraint, PathOracle, PathSession,
-    PathSessionOutcome, PathStrategy,
+    interactive_path_learn, PathConstraint, PathSession, PathSessionOutcome, PathStrategy,
 };
 pub use learn::{
     learn_path_query, learn_path_query_with_negatives, Block, BlockMultiplicity, BlockPathQuery,

@@ -223,14 +223,9 @@ pub struct QuerySession<G: Borrow<PropertyGraph>> {
 }
 
 impl<G: Borrow<PropertyGraph>> QuerySession<G> {
-    /// Start a session over a typed graph (see [`crate::lower::typed_road_view`]) with the
-    /// default halving strategy.
-    pub fn new(graph: G, class: QueryClass, seed: u64) -> QuerySession<G> {
-        QuerySession::with_config(graph, class, SessionConfig::new().seed(seed))
-    }
-
-    /// Start a session from a [`SessionConfig`] (strategy, question budget, seed). The default
-    /// strategy is the path model's [`PathStrategy::Halving`], here over pair questions.
+    /// Start a session over a typed graph (see [`crate::lower::typed_road_view`]) from a
+    /// [`SessionConfig`] (strategy, question budget, seed). The default strategy is the path
+    /// model's [`PathStrategy::Halving`], here over pair questions.
     pub fn with_config(graph: G, class: QueryClass, config: SessionConfig) -> QuerySession<G> {
         let resolved = config.resolve(|seed| PathStrategy::Halving.strategy(seed));
         let g = graph.borrow();
@@ -479,7 +474,8 @@ mod tests {
         for class in QueryClass::ALL {
             for pick in [1, 7, 20] {
                 let goal = goal_pairs(&typed, class, pick);
-                let mut session = QuerySession::new(&typed, class, 3);
+                let mut session =
+                    QuerySession::with_config(&typed, class, SessionConfig::new().seed(3));
                 run_to_goal(&mut session, &goal);
                 assert_eq!(
                     session.learned_pairs(),
@@ -499,7 +495,7 @@ mod tests {
         let typed = typed_graph();
         let index = GraphIndex::build(&typed);
         for class in QueryClass::ALL {
-            let session = QuerySession::new(&typed, class, 0);
+            let session = QuerySession::with_config(&typed, class, SessionConfig::new().seed(0));
             assert!(
                 session.questions.windows(2).all(|w| w[0] < w[1]),
                 "question ids follow the pairs' ascending order, without repeats"
@@ -544,7 +540,8 @@ mod tests {
     #[test]
     fn pooled_cache_shares_work_across_candidates() {
         let typed = typed_graph();
-        let session = QuerySession::new(&typed, QueryClass::Crpq, 0);
+        let session =
+            QuerySession::with_config(&typed, QueryClass::Crpq, SessionConfig::new().seed(0));
         let stats = session.cse_stats();
         assert!(
             stats.hits > stats.misses,
@@ -586,7 +583,8 @@ mod tests {
     #[test]
     fn contradictory_labels_empty_the_version_space() {
         let typed = typed_graph();
-        let mut session = QuerySession::new(&typed, QueryClass::Rpq, 0);
+        let mut session =
+            QuerySession::with_config(&typed, QueryClass::Rpq, SessionConfig::new().seed(0));
         let q = session.propose().expect("informative question");
         session.record(q, true);
         // Claim the opposite for the same pair via a fresh question index is impossible —

@@ -16,6 +16,11 @@
 //! * **certainly negative** when `A(u) ∩ θ_max` accepts some already-labelled negative — no
 //!   remaining hypothesis can accept `u`;
 //! * **informative** otherwise — asking the user about it shrinks the version space.
+//!
+//! A session is driven by alternating [`InteractiveSession::propose`] and
+//! [`InteractiveSession::record`]. [`interactive_learn`] runs that loop against a goal
+//! predicate for callers below `qbe-core` (chain and crowd sessions, `qbe-exchange`); above
+//! it, `qbe_core::drive` runs it over the `JoinInteractive` adapter.
 
 use crate::join_learn::{agreement_set, most_specific_predicate, LabelledPair};
 use crate::model::{Relation, Value};
@@ -85,47 +90,6 @@ impl SelectStrategy for HalveLattice {
 
     fn pick(&mut self, pool: &PoolView<'_>) -> Option<usize> {
         pick_first_max_by(pool.candidates, |c| c.informativeness)
-    }
-}
-
-/// The answer source. Implemented by simulated users (a hidden goal predicate) in the
-/// experiments; a real application would prompt a person.
-pub trait LabelOracle {
-    /// Label a pair of tuples (given by indices into the two relations).
-    fn label(&mut self, left: usize, right: usize) -> bool;
-}
-
-/// Oracle answering according to a hidden goal predicate.
-#[derive(Debug, Clone)]
-pub struct GoalOracle<'a> {
-    left: &'a Relation,
-    right: &'a Relation,
-    goal: JoinPredicate,
-    questions: usize,
-}
-
-impl<'a> GoalOracle<'a> {
-    /// Create an oracle for a hidden goal predicate.
-    pub fn new(left: &'a Relation, right: &'a Relation, goal: JoinPredicate) -> GoalOracle<'a> {
-        GoalOracle {
-            left,
-            right,
-            goal,
-            questions: 0,
-        }
-    }
-
-    /// How many questions the oracle has answered.
-    pub fn questions_asked(&self) -> usize {
-        self.questions
-    }
-}
-
-impl LabelOracle for GoalOracle<'_> {
-    fn label(&mut self, left: usize, right: usize) -> bool {
-        self.questions += 1;
-        self.goal
-            .satisfied_by(&self.left.tuples()[left], &self.right.tuples()[right])
     }
 }
 
@@ -451,7 +415,7 @@ impl<D: Borrow<Relation>> InteractiveSession<D> {
 
     /// Propose the next informative pair to ask the user about, or `None` when every pair's
     /// label is determined (or the question budget is spent). Callers alternate `propose` with
-    /// [`Self::record`]; [`Self::run`] loops to completion.
+    /// [`Self::record`].
     pub fn propose(&mut self) -> Option<(usize, usize)> {
         if self.budget.is_some_and(|cap| self.labelled.len() >= cap) {
             return None;
@@ -493,26 +457,11 @@ impl<D: Borrow<Relation>> InteractiveSession<D> {
     pub fn labelled_count(&self) -> usize {
         self.labelled.len()
     }
-
-    /// Run the interactive loop to completion against an oracle.
-    pub fn run(mut self, oracle: &mut dyn LabelOracle) -> SessionOutcome {
-        while let Some((l, r)) = self.propose() {
-            let label = oracle.label(l, r);
-            self.record(l, r, label);
-        }
-        let total_pairs = self.left.borrow().len() * self.right.borrow().len();
-        let interactions = self.labelled.len();
-        SessionOutcome {
-            consistent: self.is_consistent(),
-            predicate: self.current_hypothesis(),
-            interactions,
-            inferred: total_pairs - interactions,
-        }
-    }
 }
 
-/// Convenience wrapper: learn the goal predicate interactively and report the number of
-/// interactions — the quantity experiments E9/E11 measure.
+/// Learn the goal predicate interactively — alternate [`InteractiveSession::propose`] and
+/// [`InteractiveSession::record`], labelling each pair by `goal` — and report the number of
+/// interactions, the quantity experiments E9/E11 measure.
 pub fn interactive_learn(
     left: &Relation,
     right: &Relation,
@@ -520,8 +469,18 @@ pub fn interactive_learn(
     strategy: Strategy,
     seed: u64,
 ) -> SessionOutcome {
-    let mut oracle = GoalOracle::new(left, right, goal.clone());
-    InteractiveSession::new(left, right, strategy, seed).run(&mut oracle)
+    let mut session = InteractiveSession::new(left, right, strategy, seed);
+    while let Some((l, r)) = session.propose() {
+        let label = goal.satisfied_by(&left.tuples()[l], &right.tuples()[r]);
+        session.record(l, r, label);
+    }
+    let interactions = session.labelled_count();
+    SessionOutcome {
+        consistent: session.is_consistent(),
+        predicate: session.current_hypothesis(),
+        interactions,
+        inferred: left.len() * right.len() - interactions,
+    }
 }
 
 /// The set of pairs selected by a predicate (used in tests and experiments to compare learned
@@ -685,7 +644,6 @@ mod tests {
                 Strategy::HalveLattice,
             ] {
                 let mut session = InteractiveSession::new(&left, &right, strategy, 5);
-                let mut oracle = GoalOracle::new(&left, &right, goal.clone());
                 while let Some((l, r)) = session.propose() {
                     assert_eq!(
                         session.informative_pool(),
@@ -693,7 +651,8 @@ mod tests {
                         "{la}×{ra} {strategy:?} after {} labels",
                         session.labelled_count()
                     );
-                    session.record(l, r, oracle.label(l, r));
+                    let label = goal.satisfied_by(&left.tuples()[l], &right.tuples()[r]);
+                    session.record(l, r, label);
                 }
                 assert!(
                     session.informative_pairs().is_empty(),

@@ -9,7 +9,8 @@
 //! * [`semijoin_learn`] — learning semijoin predicates from labelled left tuples (intractable
 //!   consistency: exact exponential search + greedy heuristic);
 //! * [`interactive`] — the interactive protocol: propose informative pairs, prune uninformative
-//!   ones, minimise user interactions; several proposal strategies;
+//!   ones, minimise user interactions; several proposal strategies; [`interactive_learn`] runs
+//!   one session against a goal predicate;
 //! * [`crowd`] — HIT pricing of interactive sessions (crowdsourcing use case);
 //! * [`generate`] — synthetic instances for experiments and benchmarks.
 //!
@@ -48,8 +49,7 @@ pub use chain::{
 pub use crowd::{crowdsourced_learn, CrowdOutcome, HitPricing};
 pub use generate::{customers_orders_database, generate_join_instance, JoinInstanceConfig};
 pub use interactive::{
-    interactive_learn, GoalOracle, InteractiveSession, LabelOracle, PairStatus, SessionOutcome,
-    Strategy,
+    interactive_learn, InteractiveSession, PairStatus, SessionOutcome, Strategy,
 };
 pub use join_learn::{
     join_consistent, learn_join, most_specific_predicate, JoinConsistency, LabelledPair,

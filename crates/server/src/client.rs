@@ -1,11 +1,13 @@
 //! A small blocking client for the wire protocol, plus a goal-driven session driver.
 //!
 //! [`Client`] is the thin request/response half: one method per command, each writing one line
-//! and parsing one reply. [`drive_goal_session`] layers the *simulated user* on top: it answers
-//! the server's questions according to a hidden goal evaluated client-side (rebuilding the
-//! named corpus locally — corpora are deterministic recipes, see [`crate::corpus`]), which is
-//! exactly what the loopback integration tests, the `server_soak` bench and the binary's
-//! `--smoke` mode need. A real deployment replaces this layer with a human.
+//! and parsing one reply; the resilient client ([`crate::retry::ResilientClient`]) runs these
+//! methods inside its retry loop. [`drive_goal_session`] layers the *simulated user* on top:
+//! it answers the server's questions according to a hidden goal evaluated client-side
+//! (rebuilding the named corpus locally — corpora are deterministic recipes, see
+//! [`crate::corpus`]), which is exactly what the loopback integration tests, the
+//! `server_soak` bench and the binary's `--smoke` mode need. It is the resilient driver's
+//! loop with one attempt per request. A real deployment replaces this layer with a human.
 
 use std::collections::BTreeSet;
 use std::io::{self, BufReader, Write};
@@ -21,6 +23,7 @@ use qbe_core::xml::NodeId;
 
 use crate::corpus::{Corpus, CorpusStore};
 use crate::protocol::{field_value, parse_fields_line, Model, MAX_LINE_BYTES};
+use crate::retry::{drive_goal_session_resilient, RetryPolicy};
 use crate::server::{read_line_bounded, LineError};
 
 /// The process-wide store of client-side corpora. Goal-driven clients re-derive the *same*
@@ -112,7 +115,7 @@ impl Client {
             reader: BufReader::new(stream),
             writer,
         };
-        client.read_ok()?; // greeting
+        client.receive_checked()?; // greeting
         Ok(client)
     }
 
@@ -164,16 +167,6 @@ impl Client {
     fn roundtrip(&mut self, line: &str) -> Result<String> {
         self.send_line(line)?;
         self.receive_checked()
-    }
-
-    fn read_ok(&mut self) -> Result<String> {
-        let reply = self.read_reply()?;
-        reply
-            .strip_prefix("+OK")
-            .map(|rest| rest.trim().to_string())
-            .ok_or(ClientError::Server(
-                reply.trim_start_matches("-ERR ").to_string(),
-            ))
     }
 
     /// `HELLO` — returns the server's capability line.
@@ -384,8 +377,8 @@ fn twig_question_item(fields: &[(String, String)]) -> Result<(usize, NodeId)> {
 }
 
 /// Client-side evaluation of a [`Goal`] against the locally rebuilt corpus: turns a
-/// question's wire fields into the *true* yes/no label. Shared by [`drive_goal_session`]
-/// and the resilient driver (which may then flip the label through its noise model).
+/// question's wire fields into the *true* yes/no label, which the goal-driven loop may then
+/// flip through its noise model.
 pub(crate) struct GoalEvaluator<'a> {
     goal: Goal,
     local: &'a Corpus,
@@ -481,50 +474,21 @@ impl<'a> GoalEvaluator<'a> {
 /// remote user's "intent" never crosses the wire, only yes/no labels do, exactly as in the
 /// paper's interactive protocol. The rebuild happens once per corpus name per process (see
 /// [`local_corpus`]), not once per session.
+///
+/// This is [`drive_goal_session_resilient`] with one attempt per request, a 30 s request
+/// timeout, no noise and no faults: the first failure, a capacity rejection included,
+/// surfaces as the error.
 pub fn drive_goal_session(
     addr: impl ToSocketAddrs,
     corpus: &str,
     goal: &Goal,
     start_params: &[(&str, &str)],
 ) -> Result<GoalSessionOutcome> {
-    let local: Arc<Corpus> = local_corpus(corpus).ok_or_else(|| {
-        ClientError::Server(format!("unknown corpus {corpus:?} (client-side build)"))
-    })?;
-    // The standard goal oracle from qbe-twig, borrowing the locally rebuilt corpus (no copy):
-    // per-document goal answer sets are computed lazily, once per session.
-    let mut evaluator = GoalEvaluator::new(&local, goal)?;
-
-    let mut client = Client::connect(addr)?;
-    client.corpus(corpus)?;
-    // The goal already names the query class, so the `class=` option rides along implicitly.
-    let mut params: Vec<(&str, &str)> = start_params.to_vec();
-    if let Goal::GraphPairs(class) = goal {
-        params.push(("class", class.wire_name()));
-    }
-    let session_id = client.start(evaluator.model(), &params)?;
-    let mut asked = 0usize;
-    let (questions, consistent) = loop {
-        match client.ask()? {
-            AskReply::Done {
-                questions,
-                consistent,
-            } => break (questions, consistent),
-            AskReply::Question(fields) => {
-                let positive = evaluator.label(&fields)?;
-                client.answer(positive)?;
-                asked += 1;
-            }
-        }
+    let policy = RetryPolicy {
+        max_attempts: 1,
+        request_timeout: Duration::from_secs(30),
+        ..RetryPolicy::default()
     };
-    debug_assert_eq!(asked, questions, "server and client count questions alike");
-    let hypothesis = client.query()?;
-    let answer_set_size = client.eval()?;
-    client.quit()?;
-    Ok(GoalSessionOutcome {
-        session_id,
-        questions,
-        consistent,
-        hypothesis,
-        answer_set_size,
-    })
+    drive_goal_session_resilient(addr, corpus, goal, start_params, policy, None, None)
+        .map(|outcome| outcome.session)
 }

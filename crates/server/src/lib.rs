@@ -37,7 +37,9 @@
 //!
 //! See `PROTOCOL.md` for the full grammar, [`server::spawn`] to run a server in-process,
 //! [`client::Client`] for the blocking client, and [`client::drive_goal_session`] for the
-//! simulated-user driver the tests, benches and `--smoke` mode share.
+//! simulated-user driver the tests, benches and `--smoke` mode share. That driver is the one
+//! goal-driven loop, [`retry::drive_goal_session_resilient`], with one attempt per request;
+//! the loop with retries, reconnects and a noisy user is what the resilience suite runs.
 
 #![warn(missing_docs)]
 

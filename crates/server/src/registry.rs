@@ -19,7 +19,7 @@ use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use qbe_core::nearest_rank_index;
-use qbe_core::session::InteractiveLearner;
+use qbe_core::session::{InteractiveLearner, Question, SessionError};
 
 /// Number of mutex shards. A small power of two: enough to decorrelate a few hundred
 /// concurrent connections, cheap to scan for the active-session count.
@@ -215,35 +215,6 @@ impl SessionRegistry {
         self.panics.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Serve the session's pending question: returns `true` when it had already been served
-    /// (this `ASK` is a re-ask) and counts it. No-op `false` for unknown ids.
-    pub fn mark_asked(&self, id: u64) -> bool {
-        let mut shard = self
-            .shard(id)
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        let Some(entry) = shard.get_mut(&id) else {
-            return false;
-        };
-        let repeat = entry.asked;
-        entry.asked = true;
-        if repeat {
-            self.reasks.fetch_add(1, Ordering::Relaxed);
-        }
-        repeat
-    }
-
-    /// An answer was recorded: the next `ASK` serves a fresh question, not a re-ask.
-    pub fn clear_asked(&self, id: u64) {
-        let mut shard = self
-            .shard(id)
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        if let Some(entry) = shard.get_mut(&id) {
-            entry.asked = false;
-        }
-    }
-
     fn shard(&self, id: u64) -> &Mutex<HashMap<u64, Entry>> {
         &self.shards[(id % SHARDS as u64) as usize]
     }
@@ -285,12 +256,46 @@ impl SessionRegistry {
         id: u64,
         f: impl FnOnce(&mut dyn InteractiveLearner) -> R,
     ) -> Option<R> {
+        self.with_entry(id, |entry| f(entry.learner.as_mut()))
+    }
+
+    /// `ASK`: the pending question, or, once the session is complete, its question count and
+    /// consistency. Serving a question again before an `ANSWER` counts a re-ask, under the
+    /// same shard lock as the learner call. `None` when the id is unknown.
+    pub fn ask(&self, id: u64) -> Option<Result<Question, (usize, bool)>> {
+        self.with_entry(id, |entry| {
+            let learner = entry.learner.as_mut();
+            let Some(question) = learner.propose() else {
+                return Err((learner.questions(), learner.consistent()));
+            };
+            if std::mem::replace(&mut entry.asked, true) {
+                self.reasks.fetch_add(1, Ordering::Relaxed);
+            }
+            Ok(question)
+        })
+    }
+
+    /// `ANSWER`: record the label and, if it is accepted, clear the re-ask flag under the same
+    /// shard lock. `None` when the id is unknown.
+    pub fn answer(&self, id: u64, positive: bool) -> Option<Result<(), SessionError>> {
+        self.with_entry(id, |entry| {
+            let recorded = entry.learner.answer(positive);
+            if recorded.is_ok() {
+                entry.asked = false;
+            }
+            recorded
+        })
+    }
+
+    /// Run `f` on the session's entry under its shard lock, then fold the session into the
+    /// completed aggregates if it has just completed.
+    fn with_entry<R>(&self, id: u64, f: impl FnOnce(&mut Entry) -> R) -> Option<R> {
         let mut shard = self
             .shard(id)
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
         let entry = shard.get_mut(&id)?;
-        let out = f(entry.learner.as_mut());
+        let out = f(entry);
         if entry.learner.done() && !entry.reported {
             entry.reported = true;
             let (questions, success, wall) = Self::summary_of(entry);
@@ -493,12 +498,22 @@ mod tests {
     fn reask_tracking_counts_repeats_until_an_answer_clears_them() {
         let reg = SessionRegistry::new();
         let id = reg.open(learner());
-        assert!(!reg.mark_asked(id), "first ask serves a fresh question");
-        assert!(reg.mark_asked(id), "second ask is a re-ask");
-        assert!(reg.mark_asked(id), "and so is the third");
-        reg.clear_asked(id);
-        assert!(!reg.mark_asked(id), "an answer resets the cycle");
-        assert!(!reg.mark_asked(id + 999), "unknown ids are a no-op");
+        let reasks = || reg.metrics().reasks;
+        let first = reg
+            .ask(id)
+            .unwrap()
+            .expect("a fresh session has a question");
+        assert_eq!(reasks(), 0, "first ask serves a fresh question");
+        assert_eq!(reg.ask(id).unwrap(), Ok(first), "second ask repeats it");
+        assert_eq!(reasks(), 1, "second ask is a re-ask");
+        reg.ask(id).unwrap().unwrap();
+        assert_eq!(reasks(), 2, "and so is the third");
+        // The root is not among the goal's answers: the session goes on after it.
+        assert_eq!(reg.answer(id, false), Some(Ok(())));
+        assert!(reg.ask(id).unwrap().is_ok());
+        assert_eq!(reasks(), 2, "an answer resets the cycle");
+        assert!(reg.ask(id + 999).is_none(), "unknown ids are a no-op");
+        assert!(reg.answer(id + 999, true).is_none());
         reg.note_retry();
         let metrics = reg.metrics();
         assert_eq!(metrics.reasks, 2);

@@ -1,6 +1,13 @@
 //! A resilient protocol client: per-request timeouts, bounded exponential backoff with
 //! seeded jitter, and transparent reconnect + `RESUME` — so a goal-driven session survives
-//! injected (or real) connection drops with zero manual intervention.
+//! injected connection drops with zero manual intervention. Real drops are not survivable
+//! yet: without a fault profile the server closes a session when its connection goes
+//! (`ProtoState::teardown`), so the `RESUME` after a real drop gets `-ERR unknown session`.
+//!
+//! [`drive_goal_session_resilient`] is the workspace's one goal-driven session loop over the
+//! wire; [`drive_goal_session`](crate::client::drive_goal_session) runs it with a one-attempt
+//! [`RetryPolicy`]. [`ResilientClient`] runs the plain [`Client`]'s requests inside its retry
+//! loop, so both build the same request lines and parse the same replies.
 //!
 //! # Error classification
 //!
@@ -178,11 +185,6 @@ impl ResilientClient {
         self.retried_requests
     }
 
-    /// The session this client drives (set by [`start`](ResilientClient::start)).
-    pub fn session_id(&self) -> Option<u64> {
-        self.session_id
-    }
-
     fn fire(&self, site: &str) -> bool {
         self.faults.as_ref().is_some_and(|f| f.fire(site))
     }
@@ -255,24 +257,9 @@ impl ResilientClient {
         }
     }
 
-    /// An idempotent request: retried verbatim until a reply arrives or the budget runs out.
-    fn request(&mut self, line: &str) -> Result<String> {
-        let line = line.to_string();
-        self.with_retry(|rc| rc.attempt(&line))
-    }
-
     /// `START <model> [params]` — open the session every later reconnect re-attaches.
     pub fn start(&mut self, model: Model, params: &[(&str, &str)]) -> Result<u64> {
-        let mut line = format!("START {model}");
-        for (k, v) in params {
-            line.push_str(&format!(" {k}={v}"));
-        }
-        let reply = self.request(&line)?;
-        let id = reply
-            .strip_prefix("+OK session id=")
-            .and_then(|rest| rest.split_whitespace().next())
-            .and_then(|id| id.parse().ok())
-            .ok_or(ClientError::UnexpectedReply(reply))?;
+        let id = self.with_retry(|rc| rc.ensure_connected()?.start(model, params))?;
         self.session_id = Some(id);
         Ok(id)
     }
@@ -280,7 +267,7 @@ impl ResilientClient {
     /// `ASK` with retry — safe to resend because the server repeats the pending question
     /// until it is answered (each repeat shows up in the server's `reasks=` counter).
     pub fn ask(&mut self) -> Result<AskReply> {
-        let reply = self.request("ASK")?;
+        let reply = self.with_retry(|rc| rc.attempt("ASK"))?;
         parse_ask_reply(&reply)
     }
 
@@ -319,26 +306,18 @@ impl ResilientClient {
 
     /// `QUERY` — the current hypothesis text.
     pub fn query(&mut self) -> Result<String> {
-        let reply = self.request("QUERY")?;
-        reply
-            .strip_prefix("+QUERY ")
-            .map(str::to_string)
-            .ok_or(ClientError::UnexpectedReply(reply))
+        self.with_retry(|rc| rc.ensure_connected()?.query())
     }
 
     /// `EVAL` — answer-set size of the current hypothesis.
     pub fn eval(&mut self) -> Result<usize> {
-        let reply = self.request("EVAL")?;
-        reply
-            .strip_prefix("+EVAL ")
-            .and_then(|n| n.parse().ok())
-            .ok_or(ClientError::UnexpectedReply(reply))
+        self.with_retry(|rc| rc.ensure_connected()?.eval())
     }
 
     /// `QUIT` — a transport failure after the goodbye went out still counts as success
     /// (the connection is gone either way, which is what QUIT wanted).
     pub fn quit(&mut self) -> Result<()> {
-        match self.request("QUIT") {
+        match self.with_retry(|rc| rc.attempt("QUIT")) {
             Ok(_) | Err(ClientError::Io(_)) => {
                 self.session_id = None;
                 self.disconnect();
@@ -393,12 +372,13 @@ pub struct ResilientOutcome {
     pub flips: u64,
 }
 
-/// [`drive_goal_session`](crate::client::drive_goal_session) hardened for an unreliable
-/// world: same goal-driven protocol loop, but requests go through a [`ResilientClient`]
-/// (timeouts, backoff, reconnect + `RESUME`) and answers optionally through a noisy
+/// The goal-driven protocol loop: `START`, then `ASK` → label → `ANSWER` until `+DONE`, then
+/// `QUERY` and `EVAL`. Requests go through a [`ResilientClient`] (timeouts, backoff,
+/// reconnect + `RESUME`, as `policy` sets them) and answers optionally through a noisy
 /// majority-voting user model. With `faults` attached the client additionally sabotages
 /// its own socket — the acceptance tests drive all three learner models to convergence
-/// this way over real TCP.
+/// this way over real TCP. [`drive_goal_session`](crate::client::drive_goal_session) is
+/// this loop with one attempt per request.
 pub fn drive_goal_session_resilient(
     addr: impl ToSocketAddrs,
     corpus: &str,
@@ -424,6 +404,7 @@ pub fn drive_goal_session_resilient(
     }
     let session_id = client.start(evaluator.model(), &params)?;
 
+    let mut answered = 0usize;
     let (questions, consistent) = loop {
         match client.ask()? {
             AskReply::Done {
@@ -434,9 +415,14 @@ pub fn drive_goal_session_resilient(
                 let truth = evaluator.label(&fields)?;
                 let positive = vote.as_mut().map_or(truth, |v| v.answer(truth));
                 client.answer(positive, &fields)?;
+                answered += 1;
             }
         }
     };
+    debug_assert_eq!(
+        answered, questions,
+        "server and client count questions alike"
+    );
     let hypothesis = client.query()?;
     let answer_set_size = client.eval()?;
     let reconnects = client.reconnects();

@@ -586,32 +586,19 @@ pub(crate) fn respond(service: &Service, state: &mut ProtoState, line: &str) -> 
         },
         Command::Ask => match state.session {
             None => "-ERR no open session (use START)".to_string(),
-            Some(id) => {
-                let proposed = registry.with_session(id, |l| {
-                    l.propose()
-                        .map(|q| q.to_string())
-                        .ok_or_else(|| (l.questions(), l.consistent()))
-                });
-                match proposed {
-                    None => "-ERR session vanished".to_string(),
-                    Some(Ok(question)) => {
-                        // Counts the re-ask (same pending question served twice) if this
-                        // isn't the first ASK since the last recorded answer.
-                        registry.mark_asked(id);
-                        format!("+ASK {question}")
-                    }
-                    Some(Err((questions, consistent))) => {
-                        format!("+DONE questions={questions} consistent={consistent}")
-                    }
+            Some(id) => match registry.ask(id) {
+                None => "-ERR session vanished".to_string(),
+                Some(Ok(question)) => format!("+ASK {question}"),
+                Some(Err((questions, consistent))) => {
+                    format!("+DONE questions={questions} consistent={consistent}")
                 }
-            }
+            },
         },
         Command::Answer(positive) => match state.session {
             None => "-ERR no open session (use START)".to_string(),
-            Some(id) => match registry.with_session(id, |l| l.answer(positive)) {
+            Some(id) => match registry.answer(id, positive) {
                 None => "-ERR session vanished".to_string(),
                 Some(Ok(())) => {
-                    registry.clear_asked(id);
                     // Only accepted answers are logged, so replay can never hit a
                     // no-pending-question error the original run didn't.
                     service.log_answer(id, positive);

@@ -429,6 +429,33 @@ fn capacity_gate_rejects_excess_connections() {
     handle.shutdown();
 }
 
+/// The goal-driven driver makes exactly one attempt: with the only slot taken, it returns
+/// the capacity rejection instead of retrying, and the server counts one rejection.
+#[test]
+fn goal_driver_gives_up_after_one_capacity_rejection() {
+    let handle = spawn(ServerConfig {
+        max_connections: 1,
+        ..Default::default()
+    })
+    .unwrap();
+    let mut holder = Client::connect(handle.addr()).expect("the only slot is taken");
+
+    let goal = Goal::Twig("//person/name".to_string());
+    let err = drive_goal_session(handle.addr(), "tiny", &goal, &[]).expect_err("no free slot");
+    assert!(
+        matches!(&err, qbe_server::ClientError::Server(msg) if msg.contains("capacity")),
+        "got {err}"
+    );
+    let metrics = holder.metrics().expect("the holder is still served");
+    assert_eq!(
+        metric(&metrics, "rejected"),
+        "1",
+        "one attempt, one rejection"
+    );
+
+    handle.shutdown();
+}
+
 #[test]
 fn oversized_lines_close_the_connection_with_an_error() {
     let handle = test_server();

@@ -196,20 +196,6 @@ pub fn select_vec_with(
     out
 }
 
-/// Membership variant of [`select_bits_with`].
-pub fn selects_with(
-    query: &TwigQuery,
-    doc: &XmlTree,
-    index: &NodeIndex,
-    cache: &mut EvalCache,
-    node: NodeId,
-) -> bool {
-    let bits = select_spine(query, doc, index, cache);
-    let hit = bits.contains(node);
-    cache.arena.put(bits);
-    hit
-}
-
 /// Whether `query` classifies every `(node, expected)` label of one document correctly: one
 /// indexed evaluation, then a bit test per label. The consistency checkers
 /// (`ExampleSet::consistent_with`, `TwigSession`) all funnel through this.

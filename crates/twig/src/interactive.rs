@@ -45,18 +45,19 @@
 //!
 //! All candidate evaluations run through the indexed engine ([`crate::eval_indexed`]): the
 //! session shares one immutable [`NodeIndex`] per document — documents and indexes can be
-//! handed in as `Arc`s by a multi-session server (see [`TwigSession::with_shared`]) — and
+//! handed in as `Arc`s by a multi-session server (see [`TwigSession::with_config`]) — and
 //! keeps one [`EvalCache`] per document so structurally repeated sub-twigs across the many
 //! candidate queries of a session are matched once. Node labels and label paths are interned
 //! once per session, so the strategy's feature rows are built from integer ids.
 //!
-//! The session stops when every node is labelled or pruned, and reports the learned query, the
-//! number of interactions (the quantity the paper wants to minimise) and the number of labels the
-//! pruning saved.
+//! A session is driven by alternating [`TwigSession::propose`] and [`TwigSession::record`]
+//! until every node is labelled or pruned (`qbe_core::drive` does so over the
+//! `TwigInteractive` adapter). The learned query is [`TwigSession::candidate`]; the number of
+//! interactions, the quantity the paper wants to minimise, is [`TwigSession::annotations`]'s
+//! length.
 
 use std::cell::{Ref, RefCell};
 use std::collections::{BTreeSet, HashMap};
-use std::fmt;
 use std::sync::Arc;
 
 use qbe_bitset::DenseSet;
@@ -104,11 +105,6 @@ impl<'a> GoalNodeOracle<'a> {
     /// Number of questions answered so far.
     pub fn questions_asked(&self) -> usize {
         self.questions
-    }
-
-    /// The hidden goal.
-    pub fn goal(&self) -> &TwigQuery {
-        &self.goal
     }
 }
 
@@ -173,50 +169,6 @@ impl Strategy for LabelAffinity {
     }
 }
 
-/// How one document node is currently classified by the session.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NodeStatus {
-    /// The user labelled it positive.
-    LabelledPositive,
-    /// The user labelled it negative.
-    LabelledNegative,
-    /// Selected by the current candidate, hence certainly positive — pruned.
-    CertainPositive,
-    /// Still informative: asking about it would refine the hypothesis space.
-    Informative,
-}
-
-/// Outcome of an interactive twig-learning session.
-#[derive(Debug, Clone)]
-pub struct TwigSessionOutcome {
-    /// The learned query (None when no positive node was found at all).
-    pub query: Option<TwigQuery>,
-    /// Number of questions asked.
-    pub interactions: usize,
-    /// Number of nodes whose label was inferred (pruned) rather than asked.
-    pub pruned: usize,
-    /// Total number of nodes across all documents.
-    pub total_nodes: usize,
-    /// Whether the collected labels remained consistent with some anchored twig.
-    pub consistent: bool,
-}
-
-impl fmt::Display for TwigSessionOutcome {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} interactions, {} pruned of {} nodes, query: {}",
-            self.interactions,
-            self.pruned,
-            self.total_nodes,
-            self.query
-                .as_ref()
-                .map(|q| q.to_xpath())
-                .unwrap_or_else(|| "(none)".to_string())
-        )
-    }
-}
-
 /// An in-progress interactive twig-learning session.
 ///
 /// All per-round bookkeeping runs on dense bitsets: one [`DenseSet`] per document for the
@@ -228,7 +180,7 @@ pub struct TwigSession {
     docs: Arc<Vec<XmlTree>>,
     indexes: Arc<Vec<NodeIndex>>,
     /// One memo of sub-twig match sets per document, shared by every candidate evaluation of
-    /// this session. Interior mutability keeps the read-only query API (`status`,
+    /// this session. Interior mutability keeps the read-only query API (`candidate`,
     /// `informative_nodes`, …) taking `&self`.
     caches: RefCell<Vec<EvalCache>>,
     annotations: Vec<Annotation>,
@@ -461,21 +413,9 @@ impl TwigSession {
     /// Start a session over the given documents, building one [`NodeIndex`] per document.
     pub fn new(docs: Vec<XmlTree>, strategy: NodeStrategy, seed: u64) -> TwigSession {
         let indexes: Vec<NodeIndex> = docs.iter().map(NodeIndex::build).collect();
-        TwigSession::with_shared(Arc::new(docs), Arc::new(indexes), strategy, seed)
-    }
-
-    /// Start a session over documents and indexes shared with other sessions (a multi-session
-    /// server hands every session the same two `Arc`s, so N concurrent sessions hold one copy
-    /// of the corpus and its index).
-    pub fn with_shared(
-        docs: Arc<Vec<XmlTree>>,
-        indexes: Arc<Vec<NodeIndex>>,
-        strategy: NodeStrategy,
-        seed: u64,
-    ) -> TwigSession {
         TwigSession::with_config(
-            docs,
-            indexes,
+            Arc::new(docs),
+            Arc::new(indexes),
             SessionConfig::new()
                 .seed(seed)
                 .strategy(strategy.strategy(seed)),
@@ -593,19 +533,6 @@ impl TwigSession {
         eval_indexed::select_bits_with(query, &self.docs[doc], &self.indexes[doc], &mut caches[doc])
     }
 
-    /// Indexed membership test through the session's memo (the result bitset is recycled into
-    /// the document's arena).
-    fn eval_selects(&self, query: &TwigQuery, doc: usize, node: NodeId) -> bool {
-        let mut caches = self.caches.borrow_mut();
-        eval_indexed::selects_with(
-            query,
-            &self.docs[doc],
-            &self.indexes[doc],
-            &mut caches[doc],
-            node,
-        )
-    }
-
     fn positives(&self) -> Vec<(usize, NodeId)> {
         self.annotations
             .iter()
@@ -636,25 +563,6 @@ impl TwigSession {
     /// The current candidate: the most specific anchored twig consistent with the positives.
     pub fn candidate(&self) -> Option<TwigQuery> {
         self.current_candidate().clone()
-    }
-
-    /// Status of one node under the current candidate and labels.
-    pub fn status(&self, doc: usize, node: NodeId) -> NodeStatus {
-        for a in &self.annotations {
-            if a.doc == doc && a.node == node {
-                return if a.positive {
-                    NodeStatus::LabelledPositive
-                } else {
-                    NodeStatus::LabelledNegative
-                };
-            }
-        }
-        if let Some(candidate) = &*self.current_candidate() {
-            if self.eval_selects(candidate, doc, node) {
-                return NodeStatus::CertainPositive;
-            }
-        }
-        NodeStatus::Informative
     }
 
     /// All still-informative nodes, as `(document index, node)` pairs: the from-scratch
@@ -958,9 +866,8 @@ impl TwigSession {
     /// ([`Self::is_determined_negative_by_class`]). A proven node is pruned (its row removed,
     /// its label's coverage lowered) and the strategy picks again, so the picks — and a random
     /// strategy's draws — are exactly those of the per-node rule. Callers alternate `propose`
-    /// and [`Self::record`]: drivers serving one question at a time (the `qbe-core` session
-    /// adapters, the `qbe-server` wire protocol) call them round by round, [`Self::run`] loops
-    /// to completion.
+    /// and [`Self::record`] round by round, as the `qbe-core` session adapter and the
+    /// `qbe-server` wire protocol do.
     pub fn propose(&mut self) -> Option<(usize, NodeId)> {
         if self.inconsistent {
             return None;
@@ -1058,61 +965,11 @@ impl TwigSession {
         }
     }
 
-    /// Whether the collected labels still admit a consistent anchored twig — the `consistent`
-    /// field of [`Self::outcome`] without materialising the whole outcome (callers polling
-    /// consistency per round, like the serving layer, skip cloning the query).
+    /// Whether the collected labels still admit a consistent anchored twig: no generalised
+    /// candidate has swallowed a negative, and the current one rejects every negative.
     pub fn consistent(&self) -> bool {
         !self.inconsistent && self.is_consistent()
     }
-
-    /// The session's result so far. Final once [`Self::propose`] has returned `None`.
-    pub fn outcome(&self) -> TwigSessionOutcome {
-        let total_nodes = self.total_nodes();
-        let interactions = self.asked;
-        TwigSessionOutcome {
-            query: self.candidate(),
-            interactions,
-            pruned: total_nodes - interactions,
-            total_nodes,
-            consistent: self.consistent(),
-        }
-    }
-
-    /// Run the session to completion against an oracle: alternate [`Self::propose`] and
-    /// [`Self::record`] until no informative node remains.
-    pub fn run(mut self, oracle: &mut dyn NodeOracle) -> TwigSessionOutcome {
-        while let Some((doc, node)) = self.propose() {
-            let label = oracle.label(doc, node);
-            self.record(doc, node, label);
-        }
-        self.outcome()
-    }
-}
-
-/// Convenience wrapper: learn a hidden goal query interactively over the given documents.
-pub fn interactive_twig_learn(
-    docs: &[XmlTree],
-    goal: &TwigQuery,
-    strategy: NodeStrategy,
-    seed: u64,
-) -> TwigSessionOutcome {
-    let mut oracle = GoalNodeOracle::new(docs, goal.clone());
-    let session = TwigSession::new(docs.to_vec(), strategy, seed);
-    session.run(&mut oracle)
-}
-
-/// [`interactive_twig_learn`] with a full [`SessionConfig`] (pluggable strategy, question
-/// budget) instead of a [`NodeStrategy`] preset.
-pub fn interactive_twig_learn_config(
-    docs: &[XmlTree],
-    goal: &TwigQuery,
-    config: SessionConfig,
-) -> TwigSessionOutcome {
-    let mut oracle = GoalNodeOracle::new(docs, goal.clone());
-    let owned = docs.to_vec();
-    let indexes: Vec<NodeIndex> = owned.iter().map(NodeIndex::build).collect();
-    let session = TwigSession::with_config(Arc::new(owned), Arc::new(indexes), config);
-    session.run(&mut oracle)
 }
 
 #[cfg(test)]
@@ -1136,12 +993,27 @@ mod tests {
         parse_xpath("//item/name").unwrap()
     }
 
+    /// Alternate `propose` and `record`, labelling by `oracle`, until the session stops.
+    fn answer_all(session: &mut TwigSession, oracle: &mut impl NodeOracle) {
+        while let Some((doc, node)) = session.propose() {
+            let positive = oracle.label(doc, node);
+            session.record(doc, node, positive);
+        }
+    }
+
+    /// A session over `docs` run to completion against the hidden `goal`.
+    fn learn(docs: &[XmlTree], goal: &TwigQuery, strategy: NodeStrategy, seed: u64) -> TwigSession {
+        let mut session = TwigSession::new(docs.to_vec(), strategy, seed);
+        answer_all(&mut session, &mut GoalNodeOracle::new(docs, goal.clone()));
+        session
+    }
+
     #[test]
     fn session_learns_goal_equivalent_query() {
         let docs = vec![auction_doc()];
-        let outcome = interactive_twig_learn(&docs, &goal(), NodeStrategy::LabelAffinity, 7);
-        assert!(outcome.consistent);
-        let learned = outcome.query.expect("a query must be learned");
+        let session = learn(&docs, &goal(), NodeStrategy::LabelAffinity, 7);
+        assert!(session.consistent());
+        let learned = session.candidate().expect("a query must be learned");
         assert!(
             equivalent_on(&learned, &goal(), &docs),
             "learned {}",
@@ -1158,31 +1030,33 @@ mod tests {
             NodeStrategy::ShallowFirst,
             NodeStrategy::LabelAffinity,
         ] {
-            let outcome = interactive_twig_learn(&docs, &goal(), strategy, 3);
-            assert!(outcome.consistent, "{strategy:?}");
-            assert!(outcome.interactions <= outcome.total_nodes, "{strategy:?}");
-            assert!(outcome.query.is_some(), "{strategy:?}");
+            let session = learn(&docs, &goal(), strategy, 3);
+            assert!(session.consistent(), "{strategy:?}");
+            assert!(
+                session.annotations().len() <= session.total_nodes(),
+                "{strategy:?}"
+            );
+            assert!(session.candidate().is_some(), "{strategy:?}");
         }
     }
 
     #[test]
     fn pruning_saves_interactions() {
         let docs = vec![auction_doc()];
-        let outcome = interactive_twig_learn(&docs, &goal(), NodeStrategy::LabelAffinity, 11);
+        let session = learn(&docs, &goal(), NodeStrategy::LabelAffinity, 11);
         assert!(
-            outcome.pruned > 0,
-            "at least the certainly-positive nodes must be pruned: {outcome}"
+            session.annotations().len() < session.total_nodes(),
+            "at least the certainly-positive nodes must be pruned"
         );
-        assert!(outcome.interactions < outcome.total_nodes);
     }
 
     #[test]
     fn interactions_never_exceed_total_nodes() {
         let docs = vec![auction_doc(), auction_doc()];
-        let outcome = interactive_twig_learn(&docs, &goal(), NodeStrategy::DocumentOrder, 0);
-        assert!(outcome.interactions <= outcome.total_nodes);
+        let session = learn(&docs, &goal(), NodeStrategy::DocumentOrder, 0);
+        assert!(session.annotations().len() <= session.total_nodes());
         assert_eq!(
-            outcome.total_nodes,
+            session.total_nodes(),
             docs.iter().map(XmlTree::size).sum::<usize>()
         );
     }
@@ -1193,27 +1067,31 @@ mod tests {
         let mut session = TwigSession::new(docs.clone(), NodeStrategy::DocumentOrder, 0);
         let selected: Vec<NodeId> = eval::select(&goal(), &docs[0]).into_iter().collect();
         let first = selected[0];
-        assert_eq!(session.status(0, first), NodeStatus::Informative);
+        assert!(session.informative_nodes().contains(&(0, first)));
         session.record(0, first, true);
-        assert_eq!(session.status(0, first), NodeStatus::LabelledPositive);
-        // After one positive the candidate is the most specific description of that node: the
-        // node itself is labelled, other selected nodes may or may not be certain yet, but a
-        // clearly unrelated node (the root) must stay informative or be labelled.
-        assert_ne!(
-            session.status(0, XmlTree::ROOT),
-            NodeStatus::CertainPositive
+        assert!(
+            !session.informative_nodes().contains(&(0, first)),
+            "labelled"
         );
+        // After one positive the candidate is the most specific description of that node: it
+        // selects the node itself, and a clearly unrelated node (the root) stays informative.
+        let candidate = session.candidate().expect("one positive gives a candidate");
+        let certain = eval::select(&candidate, &docs[0]);
+        assert!(certain.contains(&first));
+        assert!(!certain.contains(&XmlTree::ROOT));
+        assert!(session.informative_nodes().contains(&(0, XmlTree::ROOT)));
     }
 
     #[test]
     fn empty_goal_answer_set_yields_no_query() {
         let docs = vec![auction_doc()];
         let goal = parse_xpath("//nonexistent").unwrap();
-        let outcome = interactive_twig_learn(&docs, &goal, NodeStrategy::DocumentOrder, 0);
-        assert!(outcome.query.is_none());
-        assert!(outcome.consistent);
+        let session = learn(&docs, &goal, NodeStrategy::DocumentOrder, 0);
+        assert!(session.candidate().is_none());
+        assert!(session.consistent());
         assert_eq!(
-            outcome.interactions, outcome.total_nodes,
+            session.annotations().len(),
+            session.total_nodes(),
             "nothing can be pruned"
         );
     }
@@ -1222,21 +1100,21 @@ mod tests {
     fn oracle_counts_questions() {
         let docs = vec![auction_doc()];
         let mut oracle = GoalNodeOracle::new(&docs, goal());
-        let session = TwigSession::new(docs.clone(), NodeStrategy::ShallowFirst, 5);
-        let outcome = session.run(&mut oracle);
-        assert_eq!(oracle.questions_asked(), outcome.interactions);
+        let mut session = TwigSession::new(docs.clone(), NodeStrategy::ShallowFirst, 5);
+        answer_all(&mut session, &mut oracle);
+        assert_eq!(oracle.questions_asked(), session.annotations().len());
     }
 
     #[test]
     fn interactive_beats_exhaustive_labelling_on_larger_corpora() {
         let docs = vec![auction_doc(), auction_doc(), auction_doc()];
-        let outcome = interactive_twig_learn(&docs, &goal(), NodeStrategy::LabelAffinity, 1);
+        let session = learn(&docs, &goal(), NodeStrategy::LabelAffinity, 1);
         let exhaustive: usize = docs.iter().map(XmlTree::size).sum();
+        let interactions = session.annotations().len();
         assert!(
-            outcome.interactions < exhaustive,
-            "interactive ({}) must ask fewer questions than labelling every node ({})",
-            outcome.interactions,
-            exhaustive
+            interactions < exhaustive,
+            "interactive ({interactions}) must ask fewer questions than labelling every node \
+             ({exhaustive})"
         );
     }
 
@@ -1244,24 +1122,27 @@ mod tests {
     fn shared_documents_and_indexes_are_not_recopied() {
         let docs = Arc::new(vec![auction_doc()]);
         let indexes = Arc::new(docs.iter().map(NodeIndex::build).collect::<Vec<_>>());
-        let s1 = TwigSession::with_shared(
+        let config = |strategy: NodeStrategy, seed| {
+            SessionConfig::new()
+                .seed(seed)
+                .strategy(strategy.strategy(seed))
+        };
+        let mut s1 = TwigSession::with_config(
             docs.clone(),
             indexes.clone(),
-            NodeStrategy::LabelAffinity,
-            1,
+            config(NodeStrategy::LabelAffinity, 1),
         );
-        let s2 = TwigSession::with_shared(
+        let mut s2 = TwigSession::with_config(
             docs.clone(),
             indexes.clone(),
-            NodeStrategy::DocumentOrder,
-            2,
+            config(NodeStrategy::DocumentOrder, 2),
         );
         // Three owners: the two sessions and the local handle.
         assert_eq!(Arc::strong_count(&docs), 3);
         let mut oracle = GoalNodeOracle::new(&docs, goal());
-        let o1 = s1.run(&mut oracle);
-        let o2 = s2.run(&mut oracle);
-        assert!(o1.consistent && o2.consistent);
-        assert!(o1.query.is_some() && o2.query.is_some());
+        answer_all(&mut s1, &mut oracle);
+        answer_all(&mut s2, &mut oracle);
+        assert!(s1.consistent() && s2.consistent());
+        assert!(s1.candidate().is_some() && s2.candidate().is_some());
     }
 }

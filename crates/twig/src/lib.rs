@@ -16,7 +16,9 @@
 //! * [`consistency`] — positive+negative examples: polynomial heuristic, exact exponential
 //!   search, the tractable path case, and unions of twigs;
 //! * [`interactive`] — the interactive node-labelling protocol ("a practical system able to
-//!   learn twig queries from interaction with the user") with uninformative-node pruning;
+//!   learn twig queries from interaction with the user") with uninformative-node pruning: a
+//!   session driven one propose/record round at a time, and the goal oracle that evaluates
+//!   twig goals;
 //! * [`pac`] — approximate (PAC) learning;
 //! * [`schema_aware`] — query satisfiability/implication w.r.t. a multiplicity schema and the
 //!   overspecialisation pruning the paper proposes;
@@ -42,10 +44,7 @@ pub use containment::{contained_in, equivalent, equivalent_on};
 pub use eval::{count, matches, select, selects};
 pub use eval_indexed::{EvalCache, Evaluator};
 pub use example::{Annotation, ExampleSet};
-pub use interactive::{
-    interactive_twig_learn, interactive_twig_learn_config, GoalNodeOracle, NodeOracle, NodeStatus,
-    NodeStrategy, TwigSession, TwigSessionOutcome,
-};
+pub use interactive::{GoalNodeOracle, NodeOracle, NodeStrategy, TwigSession};
 pub use learn::{
     learn_from_positives, learn_from_positives_shared, learn_path_from_positives, TwigLearnError,
 };

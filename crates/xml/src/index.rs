@@ -4,8 +4,9 @@
 //! handful of documents; walking the whole tree for each evaluation is the hot path of the
 //! interactive experiments. [`NodeIndex`] precomputes, in one O(n) pass:
 //!
-//! * **label postings** — for every label, the sorted list of nodes carrying it, so a query
-//!   node test starts from its candidate nodes instead of the whole document;
+//! * **label postings** — for every label, the nodes carrying it as a dense bitset over the
+//!   node universe, so a query node test starts from its candidate nodes instead of the whole
+//!   document, and one word-level AND intersects them with another match set;
 //! * **preorder intervals** — each node's preorder rank and the (half-open) rank interval of
 //!   its subtree, giving O(1) ancestor/descendant tests;
 //! * **depth and parent arrays** — flat copies of the tree's structural accessors, laid out for
@@ -23,10 +24,8 @@ use std::collections::HashMap;
 /// Immutable structural index of one [`XmlTree`].
 #[derive(Debug, Clone)]
 pub struct NodeIndex {
-    /// `postings[label]` = nodes with that label, sorted by [`NodeId`].
-    postings: HashMap<String, Vec<NodeId>>,
-    /// The same postings as dense bitsets over the node universe — what the bitwise match-set
-    /// kernels of the indexed evaluators start from.
+    /// `postings_bits[label]` = the nodes with that label, as a dense bitset over the node
+    /// universe — what the bitwise match-set kernels of the indexed evaluators start from.
     postings_bits: HashMap<String, DenseSet<NodeId>>,
     /// The full node universe as a bitset (the unconstrained-wildcard start set).
     all_bits: DenseSet<NodeId>,
@@ -45,21 +44,26 @@ impl NodeIndex {
     /// Build the index for a tree in a single preorder pass.
     pub fn build(tree: &XmlTree) -> NodeIndex {
         let n = tree.size();
-        let mut postings: HashMap<String, Vec<NodeId>> = HashMap::new();
+        let mut postings_bits: HashMap<String, DenseSet<NodeId>> = HashMap::new();
         let mut depth = vec![0u32; n];
         let mut parent = vec![None; n];
         for node in tree.node_ids() {
-            postings
-                .entry(tree.label(node).to_string())
-                .or_default()
-                .push(node);
+            // Look the label up by `&str`: its string is allocated once, for its first node.
+            let label = tree.label(node);
+            match postings_bits.get_mut(label) {
+                Some(bits) => {
+                    bits.insert(node);
+                }
+                None => {
+                    postings_bits.insert(label.to_string(), DenseSet::from_ids(n, [node]));
+                }
+            }
             parent[node.index()] = tree.parent(node);
             if let Some(p) = parent[node.index()] {
                 // Parents precede children in the arena, so their depth is already final.
                 depth[node.index()] = depth[p.index()] + 1;
             }
         }
-        // `node_ids` iterates in arena order, which is ascending NodeId: postings are sorted.
         let mut pre = vec![0u32; n];
         let mut subtree_end = vec![0u32; n];
         let mut rank = 0u32;
@@ -77,12 +81,7 @@ impl NodeIndex {
                 stack.push((child, false));
             }
         }
-        let postings_bits = postings
-            .iter()
-            .map(|(label, nodes)| (label.clone(), DenseSet::from_ids(n, nodes.iter().copied())))
-            .collect();
         NodeIndex {
-            postings,
             postings_bits,
             all_bits: DenseSet::full(n),
             pre,
@@ -104,11 +103,6 @@ impl NodeIndex {
         self.pre.len()
     }
 
-    /// Nodes carrying `label`, sorted by id (empty for unknown labels).
-    pub fn postings(&self, label: &str) -> &[NodeId] {
-        self.postings.get(label).map(Vec::as_slice).unwrap_or(&[])
-    }
-
     /// Nodes carrying `label` as a dense bitset over the node universe (`None` for unknown
     /// labels — callers treat it as the empty set). One word-level AND against another match
     /// set replaces a sorted-list intersection.
@@ -123,7 +117,7 @@ impl NodeIndex {
 
     /// Number of distinct labels in the document.
     pub fn label_count(&self) -> usize {
-        self.postings.len()
+        self.postings_bits.len()
     }
 
     /// Preorder rank of a node.
@@ -177,33 +171,19 @@ mod tests {
         let t = sample();
         let ix = NodeIndex::build(&t);
         for label in t.alphabet() {
-            assert_eq!(ix.postings(&label), t.nodes_with_label(&label).as_slice());
-        }
-        assert!(ix.postings("nonexistent").is_empty());
-        assert_eq!(ix.label_count(), t.alphabet().len());
-    }
-
-    #[test]
-    fn posting_bitsets_agree_with_posting_lists() {
-        let t = sample();
-        let ix = NodeIndex::build(&t);
-        for label in t.alphabet() {
             let bits = ix.postings_bits(&label).expect("label is present");
             assert_eq!(bits.universe(), t.size());
-            assert_eq!(bits.iter().collect::<Vec<_>>(), ix.postings(&label));
+            assert_eq!(bits.iter().collect::<Vec<_>>(), t.nodes_with_label(&label));
         }
         assert!(ix.postings_bits("nonexistent").is_none());
+        assert_eq!(ix.label_count(), t.alphabet().len());
+        let entries: Vec<(&str, usize)> = ix
+            .posting_entries()
+            .map(|(label, bits)| (label, bits.len()))
+            .collect();
+        assert_eq!(entries.len(), ix.label_count());
+        assert_eq!(entries.iter().map(|(_, n)| n).sum::<usize>(), t.size());
         assert_eq!(ix.all_bits().len(), t.size());
-    }
-
-    #[test]
-    fn postings_are_sorted() {
-        let t = sample();
-        let ix = NodeIndex::build(&t);
-        for label in t.alphabet() {
-            let p = ix.postings(&label);
-            assert!(p.windows(2).all(|w| w[0] < w[1]), "{label}");
-        }
     }
 
     #[test]
@@ -247,7 +227,8 @@ mod tests {
         let t = XmlTree::new("only");
         let ix = NodeIndex::build(&t);
         assert_eq!(ix.node_count(), 1);
-        assert_eq!(ix.postings("only"), &[XmlTree::ROOT]);
+        let only: Vec<NodeId> = ix.postings_bits("only").unwrap().iter().collect();
+        assert_eq!(only, [XmlTree::ROOT]);
         assert!(!ix.is_ancestor(XmlTree::ROOT, XmlTree::ROOT));
     }
 }

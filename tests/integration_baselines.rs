@@ -16,8 +16,11 @@ use qbe_core::relational::{
     query_by_output, synthesize_view, Condition, Instance, JoinPredicate, SpjQuery, Strategy,
     Value,
 };
-use qbe_core::twig::{interactive_twig_learn, parse_xpath, NodeStrategy};
+use qbe_core::twig::{parse_xpath, NodeStrategy};
 use qbe_core::xml::xmark::{generate, XmarkConfig};
+use qbe_core::xml::NodeIndex;
+use qbe_core::{drive, TwigInteractive};
+use std::sync::Arc;
 
 /// Query by output and view synthesis must agree with the interactive learner on what the goal
 /// selection is, each starting from its own kind of input (full output vs labelled pairs).
@@ -162,17 +165,19 @@ fn graph_patterns_evaluate_and_classify_well_designedness() {
 /// The interactive twig protocol learns a goal query over an XMark-like document with far fewer
 /// questions than exhaustively labelling every node.
 #[test]
-fn interactive_twig_learning_on_xmark_documents() {
-    let doc = generate(&XmarkConfig::new(0.01, 3));
-    let total_nodes = doc.size();
+fn interactive_twig_sessions_on_xmark_documents() {
+    let docs = Arc::new(vec![generate(&XmarkConfig::new(0.01, 3))]);
+    let indexes = Arc::new(docs.iter().map(NodeIndex::build).collect::<Vec<_>>());
+    let total_nodes = docs[0].size();
     let goal = parse_xpath("//person/name").expect("goal parses");
-    let outcome = interactive_twig_learn(&[doc], &goal, NodeStrategy::LabelAffinity, 5);
-    assert!(outcome.consistent);
-    assert!(outcome.query.is_some());
+    let mut learner =
+        TwigInteractive::with_shared(docs, indexes, NodeStrategy::LabelAffinity, 5).with_goal(goal);
+    let report = drive(&mut learner);
+    assert!(report.success, "consistent, with a learned query");
     assert!(
-        outcome.interactions < total_nodes,
+        report.questions < total_nodes,
         "interactive labelling ({}) must beat exhaustive labelling ({})",
-        outcome.interactions,
+        report.questions,
         total_nodes
     );
 }

@@ -10,15 +10,16 @@
 use proptest::prelude::*;
 use std::sync::Arc;
 
-use qbe_core::graph::interactive::{GoalPathOracle, PathConstraint, PathSession};
+use qbe_core::graph::interactive::{PathConstraint, PathSession};
 use qbe_core::graph::{generate_geo_graph, GeoConfig};
-use qbe_core::relational::interactive::{selected_pairs, GoalOracle, InteractiveSession};
+use qbe_core::relational::interactive::selected_pairs;
 use qbe_core::relational::{generate_join_instance, JoinInstanceConfig};
-use qbe_core::twig::interactive::{GoalNodeOracle, TwigSession};
 use qbe_core::twig::{eval, learn_from_positives};
 use qbe_core::xml::random::{RandomTreeConfig, RandomTreeGenerator};
 use qbe_core::xml::{NodeIndex, XmlTree};
-use qbe_core::{SessionConfig, STRATEGY_NAMES};
+use qbe_core::{
+    drive, JoinInteractive, PathInteractive, SessionConfig, TwigInteractive, STRATEGY_NAMES,
+};
 
 fn config(strategy: &str, seed: u64, budget: usize) -> SessionConfig {
     SessionConfig::new()
@@ -57,16 +58,19 @@ proptest! {
         let indexes = Arc::new(docs.iter().map(NodeIndex::build).collect::<Vec<_>>());
         let budget = doc.size();
         for &strategy in STRATEGY_NAMES {
-            let session = TwigSession::with_config(
+            let mut learner = TwigInteractive::with_config(
                 docs.clone(),
                 indexes.clone(),
                 config(strategy, seed, budget),
-            );
-            let mut oracle = GoalNodeOracle::new(std::slice::from_ref(&doc), goal.clone());
-            let outcome = session.run(&mut oracle);
-            prop_assert!(outcome.consistent, "{strategy}: labels stayed consistent");
-            prop_assert!(outcome.interactions <= budget, "{strategy}: within budget");
-            let learned = outcome.query.expect("the goal has at least one answer");
+            )
+            .with_goal(goal.clone());
+            let report = drive(&mut learner);
+            prop_assert!(learner.session().consistent(), "{strategy}: labels stayed consistent");
+            prop_assert!(report.questions <= budget, "{strategy}: within budget");
+            let learned = learner
+                .session()
+                .candidate()
+                .expect("the goal has at least one answer");
             prop_assert_eq!(
                 eval::select(&learned, &doc),
                 goal_answers.clone(),
@@ -92,18 +96,19 @@ proptest! {
         });
         let reference = selected_pairs(&left, &right, &goal);
         let budget = left.len() * right.len();
+        let (left, right) = (Arc::new(left), Arc::new(right));
         for &strategy in STRATEGY_NAMES {
-            let session = InteractiveSession::with_config(
-                &left,
-                &right,
+            let mut learner = JoinInteractive::with_config(
+                left.clone(),
+                right.clone(),
                 config(strategy, seed, budget),
-            );
-            let mut oracle = GoalOracle::new(&left, &right, goal.clone());
-            let outcome = session.run(&mut oracle);
-            prop_assert!(outcome.consistent, "{strategy}: labels stayed consistent");
-            prop_assert!(outcome.interactions <= budget, "{strategy}: within budget");
+            )
+            .with_goal(goal.clone());
+            let report = drive(&mut learner);
+            prop_assert!(learner.session().is_consistent(), "{strategy}: labels stayed consistent");
+            prop_assert!(report.questions <= budget, "{strategy}: within budget");
             prop_assert_eq!(
-                selected_pairs(&left, &right, &outcome.predicate),
+                selected_pairs(&left, &right, &learner.session().current_hypothesis()),
                 reference.clone(),
                 "{} learned a semantically different join",
                 strategy
@@ -123,12 +128,12 @@ proptest! {
         cities in 8usize..14,
         goal_kind in 0usize..3,
     ) {
-        let graph = generate_geo_graph(&GeoConfig {
+        let graph = Arc::new(generate_geo_graph(&GeoConfig {
             cities,
             connectivity: 3,
             seed: graph_seed,
             ..Default::default()
-        });
+        }));
         let from = graph.find_node_by_property("name", "city0").unwrap();
         let to = graph
             .find_node_by_property("name", &format!("city{}", cities / 2))
@@ -148,27 +153,28 @@ proptest! {
         };
         for &strategy in STRATEGY_NAMES {
             let probe = PathSession::with_config(
-                &graph,
+                &*graph,
                 from,
                 to,
                 6,
                 config(strategy, graph_seed, usize::MAX),
             );
             let budget = probe.candidate_count();
-            let session = PathSession::with_config(
-                &graph,
+            let mut learner = PathInteractive::with_config(
+                graph.clone(),
                 from,
                 to,
                 6,
                 config(strategy, graph_seed, budget),
-            );
-            let mut oracle = GoalPathOracle::new(goal.clone());
-            let outcome = session.run(&mut oracle);
-            prop_assert!(outcome.interactions <= budget, "{strategy}: within budget");
-            for (path, accepted) in outcome
-                .candidates
-                .iter()
-                .map(|p| (p, outcome.learned.accepts(&graph, p)))
+            )
+            .with_goal(goal.clone());
+            let report = drive(&mut learner);
+            prop_assert!(report.questions <= budget, "{strategy}: within budget");
+            let session = learner.session();
+            let learned = session.most_specific();
+            for (path, accepted) in (0..session.candidate_count())
+                .map(|ix| session.path(ix))
+                .map(|p| (p, learned.accepts(&graph, p)))
             {
                 prop_assert_eq!(
                     accepted,

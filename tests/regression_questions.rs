@@ -10,9 +10,7 @@
 //! say why in its message.
 
 use qbe_core::algebra::{ConjQuery, EvalCache, PathAtom, QueryStore, Term};
-use qbe_core::graph::interactive::{
-    interactive_path_learn, GoalPathOracle, PathConstraint, PathSession, PathStrategy,
-};
+use qbe_core::graph::interactive::{interactive_path_learn, PathConstraint, PathStrategy};
 use qbe_core::graph::{
     eval_conj_tuples, eval_expr_pairs, generate_geo_graph, typed_road_view, GNodeId, GeoConfig,
     GraphIndex, PropertyGraph, QueryClass,
@@ -20,17 +18,16 @@ use qbe_core::graph::{
 use qbe_core::relational::chain::{
     generate_chain_instance, interactive_chain_learn, ChainInstanceConfig,
 };
-use qbe_core::relational::interactive::{GoalOracle, InteractiveSession};
 use qbe_core::relational::{
     generate_join_instance, interactive_learn, JoinInstanceConfig, Strategy,
 };
-use qbe_core::twig::{
-    interactive_twig_learn, interactive_twig_learn_config, parse_xpath, GoalNodeOracle, NodeOracle,
-    NodeStrategy, TwigSession,
-};
+use qbe_core::twig::{parse_xpath, NodeStrategy};
 use qbe_core::xml::xmark::{corpus_by_name, generate, XmarkConfig};
 use qbe_core::xml::{NodeIndex, XmlTree};
-use qbe_core::{drive, GraphQueryInteractive, InteractiveLearner, SessionConfig};
+use qbe_core::{
+    drive, GraphQueryInteractive, InteractiveLearner, JoinInteractive, PathInteractive,
+    SessionConfig, SessionReport, TwigInteractive,
+};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -45,6 +42,22 @@ fn xmark() -> XmlTree {
     generate(&XmarkConfig::new(0.01, 3))
 }
 
+/// The configuration a [`NodeStrategy`] preset stands for.
+fn preset(strategy: NodeStrategy, seed: u64) -> SessionConfig {
+    SessionConfig::new()
+        .seed(seed)
+        .strategy(strategy.strategy(seed))
+}
+
+/// A twig session over the pinned XMark document, driven to completion against `goal`.
+fn drive_twig(goal: &str, config: SessionConfig) -> SessionReport {
+    let docs = Arc::new(vec![xmark()]);
+    let indexes = Arc::new(docs.iter().map(NodeIndex::build).collect::<Vec<_>>());
+    let mut learner =
+        TwigInteractive::with_config(docs, indexes, config).with_goal(parse_xpath(goal).unwrap());
+    drive(&mut learner)
+}
+
 #[test]
 fn xmark_document_shape_is_stable() {
     // All twig pins below assume this exact document.
@@ -53,7 +66,7 @@ fn xmark_document_shape_is_stable() {
 
 #[test]
 fn twig_session_question_counts_are_pinned() {
-    let doc = xmark();
+    let nodes = xmark().size();
     let cases: [(&str, NodeStrategy, u64, usize); 4] = [
         ("//person/name", NodeStrategy::LabelAffinity, 7, 51),
         ("//person/name", NodeStrategy::DocumentOrder, 7, 187),
@@ -61,19 +74,13 @@ fn twig_session_question_counts_are_pinned() {
         ("//open_auction", NodeStrategy::ShallowFirst, 7, 19),
     ];
     for (goal, strategy, seed, expected) in cases {
-        let outcome = interactive_twig_learn(
-            std::slice::from_ref(&doc),
-            &parse_xpath(goal).unwrap(),
-            strategy,
-            seed,
-        );
-        assert!(outcome.consistent, "{goal} {strategy:?}");
-        assert!(outcome.query.is_some(), "{goal} {strategy:?}");
+        let report = drive_twig(goal, preset(strategy, seed));
+        assert!(report.success, "{goal} {strategy:?}");
         assert_eq!(
-            outcome.interactions, expected,
+            report.questions, expected,
             "{goal} with {strategy:?} (seed {seed}) changed its question count"
         );
-        assert_eq!(outcome.interactions + outcome.pruned, outcome.total_nodes);
+        assert_eq!(report.questions + report.inferred, nodes);
     }
 }
 
@@ -90,17 +97,14 @@ fn medium_twig_sessions_pin_questions_and_determined_negatives() {
         ("//item/name", 874, 1_721),
     ];
     for (goal, questions, determined) in cases {
-        let mut oracle = GoalNodeOracle::new(&docs, parse_xpath(goal).unwrap());
-        let mut session =
-            TwigSession::with_config(docs.clone(), indexes.clone(), SessionConfig::new().seed(1));
-        while let Some((doc, node)) = session.propose() {
-            let positive = oracle.label(doc, node);
-            session.record(doc, node, positive);
-        }
-        assert!(session.consistent(), "{goal}");
-        assert_eq!(oracle.questions_asked(), questions, "{goal} question count");
+        let config = SessionConfig::new().seed(1);
+        let mut learner = TwigInteractive::with_config(docs.clone(), indexes.clone(), config)
+            .with_goal(parse_xpath(goal).unwrap());
+        let report = drive(&mut learner);
+        assert!(report.success, "{goal}");
+        assert_eq!(report.questions, questions, "{goal} question count");
         assert_eq!(
-            session.determined_negative_nodes().len(),
+            learner.session().determined_negative_nodes().len(),
             determined,
             "{goal} determined negatives"
         );
@@ -116,8 +120,7 @@ fn medium_twig_sessions_pin_questions_and_determined_negatives() {
 #[test]
 fn generic_strategy_question_counts_are_pinned() {
     // Twig: //person/name on the pinned XMark document, seed 7 (as above).
-    let doc = xmark();
-    let goal = parse_xpath("//person/name").unwrap();
+    let goal = "//person/name";
     let twig_cases: [(&str, usize); 4] = [
         ("paper-order", 187),
         ("random", 53),
@@ -125,24 +128,17 @@ fn generic_strategy_question_counts_are_pinned() {
         ("cheapest-first", 36),
     ];
     for (strategy, expected) in twig_cases {
-        let outcome =
-            interactive_twig_learn_config(std::slice::from_ref(&doc), &goal, named(strategy, 7));
-        assert!(outcome.consistent && outcome.query.is_some(), "{strategy}");
+        let report = drive_twig(goal, named(strategy, 7));
+        assert!(report.success, "{strategy}");
         assert_eq!(
-            outcome.interactions, expected,
+            report.questions, expected,
             "twig learning with {strategy} changed its question count"
         );
     }
-    let paper_order =
-        interactive_twig_learn_config(std::slice::from_ref(&doc), &goal, named("paper-order", 7));
-    let document_order = interactive_twig_learn(
-        std::slice::from_ref(&doc),
-        &goal,
-        NodeStrategy::DocumentOrder,
-        7,
-    );
+    let paper_order = drive_twig(goal, named("paper-order", 7));
+    let document_order = drive_twig(goal, preset(NodeStrategy::DocumentOrder, 7));
     assert_eq!(
-        paper_order.interactions, document_order.interactions,
+        paper_order.questions, document_order.questions,
         "paper-order is the executable spec of the pre-API document-order behaviour"
     );
 
@@ -161,24 +157,26 @@ fn generic_strategy_question_counts_are_pinned() {
         ("max-coverage", 9),
         ("cheapest-first", 9),
     ];
+    let (left, right) = (Arc::new(left), Arc::new(right));
     for (strategy, expected) in join_cases {
-        let session = InteractiveSession::with_config(&left, &right, named(strategy, 1));
-        let mut oracle = GoalOracle::new(&left, &right, join_goal.clone());
-        let outcome = session.run(&mut oracle);
-        assert!(outcome.consistent, "{strategy}");
+        let mut learner =
+            JoinInteractive::with_config(left.clone(), right.clone(), named(strategy, 1))
+                .with_goal(join_goal.clone());
+        let report = drive(&mut learner);
+        assert!(report.success, "{strategy}");
         assert_eq!(
-            outcome.interactions, expected,
+            report.questions, expected,
             "join learning with {strategy} changed its question count"
         );
     }
 
     // Path: the pinned geographical instance, seed 5, max_edges 8 (as above).
     // `cheapest-first` must stay byte-identical to the `ShortestFirst` pin (13).
-    let graph = generate_geo_graph(&GeoConfig {
+    let graph = Arc::new(generate_geo_graph(&GeoConfig {
         cities: 12,
         connectivity: 3,
         ..Default::default()
-    });
+    }));
     let from = graph.find_node_by_property("name", "city0").unwrap();
     let to = graph.find_node_by_property("name", "city6").unwrap();
     let path_goal = PathConstraint {
@@ -193,16 +191,19 @@ fn generic_strategy_question_counts_are_pinned() {
         ("cheapest-first", 13),
     ];
     for (strategy, expected) in path_cases {
-        let session = PathSession::with_config(&graph, from, to, 8, named(strategy, 5));
-        let mut oracle = GoalPathOracle::new(path_goal.clone());
-        let outcome = session.run(&mut oracle);
+        let mut learner =
+            PathInteractive::with_config(graph.clone(), from, to, 8, named(strategy, 5))
+                .with_goal(path_goal.clone());
+        let report = drive(&mut learner);
         assert_eq!(
-            outcome.interactions, expected,
+            report.questions, expected,
             "path learning with {strategy} changed its question count"
         );
-        for p in &outcome.candidates {
+        let session = learner.session();
+        let learned = session.most_specific();
+        for p in (0..session.candidate_count()).map(|ix| session.path(ix)) {
             assert_eq!(
-                outcome.learned.accepts(&graph, p),
+                learned.accepts(&graph, p),
                 path_goal.accepts(&graph, p),
                 "{strategy} misclassifies a candidate path"
             );
