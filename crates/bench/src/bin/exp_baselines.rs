@@ -8,9 +8,11 @@
 //! the paper draws is that these approaches need the *whole* output to be given, while its
 //! interactive framework only needs a handful of labelled examples (see E9).
 //!
+//! A last table times twig evaluation both ways the workspace implements it: the naive
+//! `eval::select`, kept as the executable spec, against the production `eval_indexed::select`
+//! over a prebuilt node index, on the same XMark document. Both must select the same nodes.
+//!
 //! Regenerate with `cargo run -p qbe-bench --bin exp_baselines`.
-
-use std::time::Instant;
 
 use qbe_relational::bp::{bp_expressible, single_relation_instance};
 use qbe_relational::cfd::{discover_constant_cfds, discover_fds};
@@ -20,6 +22,9 @@ use qbe_relational::{
     customers_orders_database, Condition, Instance, Relation, RelationSchema, SpjQuery, Tuple,
     Value,
 };
+use qbe_twig::{eval, eval_indexed, parse_xpath};
+use qbe_xml::xmark::{generate, XmarkConfig};
+use qbe_xml::NodeIndex;
 
 /// A wider single-table instance: one row per order with customer attributes denormalised, so
 /// selection queries over it have interesting correlated attributes.
@@ -63,6 +68,7 @@ fn orders_flat(customers: usize, orders_per_customer: usize, seed: u64) -> Relat
 }
 
 fn main() {
+    qbe_bench::check_args();
     println!("E12 — relational baselines: reverse-engineering queries from instance + output\n");
 
     // --- Query by output -------------------------------------------------------------------
@@ -111,12 +117,10 @@ fn main() {
         let output = goal
             .evaluate(&db)
             .expect("goal evaluates on the generated instance");
-        let t = Instant::now();
-        let learned = query_by_output(&db, &output);
-        let micros = t.elapsed().as_micros();
+        let (learned, micros) = qbe_bench::time_us(|| query_by_output(&db, &output));
         match learned {
             Ok(q) => println!(
-                "{:<34} {:>9} {:>10} {:>11} {:>10} {:>10}",
+                "{:<34} {:>9} {:>10} {:>11} {:>10} {:>10.1}",
                 name,
                 output.len(),
                 "yes",
@@ -125,7 +129,7 @@ fn main() {
                 micros
             ),
             Err(e) => println!(
-                "{:<34} {:>9} {:>10} {:>11} {:>10} {:>10}",
+                "{:<34} {:>9} {:>10} {:>11} {:>10} {:>10.1}",
                 name,
                 output.len(),
                 format!("no ({e})"),
@@ -149,12 +153,10 @@ fn main() {
         if view.is_empty() {
             continue;
         }
-        let t = Instant::now();
-        let outcome = synthesize_view(&db, &view);
-        let micros = t.elapsed().as_micros();
+        let (outcome, micros) = qbe_bench::time_us(|| synthesize_view(&db, &view));
         match outcome {
             Ok(o) => println!(
-                "{:<34} {:>8} {:>12} {:>12} {:>10}",
+                "{:<34} {:>8} {:>12} {:>12} {:>10.1}",
                 name,
                 view.len(),
                 if o.accuracy.is_exact() {
@@ -166,7 +168,7 @@ fn main() {
                 micros
             ),
             Err(e) => println!(
-                "{:<34} {:>8} {:>12} {:>12} {:>10}",
+                "{:<34} {:>8} {:>12} {:>12} {:>10.1}",
                 name,
                 view.len(),
                 format!("{e}"),
@@ -185,13 +187,15 @@ fn main() {
     for rows in qbe_bench::param(vec![8usize, 16, 32, 64], vec![8, 16]) {
         let relation = orders_flat(rows, 3, rows as u64);
         for minsup in [2usize, 4] {
-            let t = Instant::now();
-            let fds = discover_fds(&relation, 2);
-            let cfds = discover_constant_cfds(&relation, 2, minsup);
-            let micros = t.elapsed().as_micros();
+            let ((fds, cfds), micros) = qbe_bench::time_us(|| {
+                (
+                    discover_fds(&relation, 2),
+                    discover_constant_cfds(&relation, 2, minsup),
+                )
+            });
             let all_hold = cfds.iter().all(|c| c.holds(&relation));
             println!(
-                "{:<10} {:>8} {:>8} {:>14} {:>16} {:>12}",
+                "{:<10} {:>8} {:>8} {:>14} {:>16} {:>12.1}",
                 relation.len(),
                 minsup,
                 fds.len(),
@@ -238,11 +242,9 @@ fn main() {
         ),
     ];
     for (name, output) in &outputs {
-        let t = Instant::now();
-        let verdict = bp_expressible(&input, output);
-        let micros = t.elapsed().as_micros();
+        let (verdict, micros) = qbe_bench::time_us(|| bp_expressible(&input, output));
         println!(
-            "{:<44} {:>12} {:>14} {:>12}",
+            "{:<44} {:>12} {:>14} {:>12.1}",
             name, verdict.expressible, verdict.automorphism_count, micros
         );
     }
@@ -252,4 +254,39 @@ fn main() {
          output/view to be materialised by the user, while the interactive join learner (E9) \
          reaches the same goal query from a handful of labelled tuples."
     );
+
+    // --- Twig evaluation: the executable spec against the production engine ---------------
+    let doc = generate(&XmarkConfig::new(qbe_bench::param(0.05, 0.02), 7));
+    let index = NodeIndex::build(&doc);
+    println!(
+        "\ntwig select on an XMark document ({} nodes): naive spec vs indexed engine",
+        doc.size()
+    );
+    println!(
+        "{:<36} {:>9} {:>12} {:>14} {:>8}",
+        "query", "selected", "naive (µs)", "indexed (µs)", "speedup"
+    );
+    for xpath in [
+        "//person/name",
+        "/site/people/person[emailaddress]",
+        "//item[name]",
+        "/site//open_auction",
+    ] {
+        let query = parse_xpath(xpath).expect("query parses");
+        let (naive, naive_us) = qbe_bench::time_us(|| eval::select(&query, &doc));
+        let (indexed, indexed_us) =
+            qbe_bench::time_us(|| eval_indexed::select(&query, &doc, &index));
+        assert_eq!(
+            naive, indexed,
+            "{xpath}: the engine disagrees with the spec"
+        );
+        println!(
+            "{:<36} {:>9} {:>12.1} {:>14.1} {:>7.1}×",
+            xpath,
+            naive.len(),
+            naive_us,
+            indexed_us,
+            naive_us / indexed_us
+        );
+    }
 }

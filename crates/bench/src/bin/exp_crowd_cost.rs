@@ -11,6 +11,7 @@ use qbe_relational::{
 };
 
 fn main() {
+    qbe_bench::check_args();
     println!("E11 — crowdsourced join learning: label HITs and total cost");
     println!(
         "{:<8} {:<26} {:>12} {:>14} {:>12}",

@@ -2,12 +2,13 @@
 //! *learned* source queries.
 //!
 //! For each scenario the table reports the learned source query, how many items it extracted,
-//! how many target objects were produced, and how many user interactions (labels) the learning
-//! phase needed. Regenerate with `cargo run -p qbe-bench --bin exp_exchange`.
+//! how many target objects were produced, how many user interactions (labels) the learning
+//! phase needed, and the median time of the scenario's exchange call (learning included for
+//! scenarios 1 and 2). Regenerate with `cargo run -p qbe-bench --bin exp_exchange`.
 
 use qbe_exchange::{
     learned_publish_relational_to_xml, learned_shred_xml_to_relational, publish_graph_to_xml,
-    shred_xml_to_graph,
+    shred_xml_to_graph, ExchangeReport,
 };
 use qbe_graph::{
     generate_geo_graph, interactive_path_learn, GeoConfig, PathConstraint, PathStrategy,
@@ -27,11 +28,24 @@ fn shorten(query: &str, max: usize) -> String {
     format!("{head}…{tail}")
 }
 
+fn row(scenario: &str, report: &ExchangeReport, interactions: usize, micros: f64) {
+    println!(
+        "{:<22} {:<44} {:>9} {:>9} {:>13} {:>12.1}",
+        scenario,
+        shorten(&report.source_query, 44),
+        report.extracted_items,
+        report.produced_items,
+        interactions,
+        micros
+    );
+}
+
 fn main() {
+    qbe_bench::check_args();
     println!("E1 — cross-model exchange with learned source queries (Figure 1)");
     println!(
-        "{:<22} {:<44} {:>9} {:>9} {:>13}",
-        "scenario", "learned source query", "extracted", "produced", "interactions"
+        "{:<22} {:<44} {:>9} {:>9} {:>13} {:>12}",
+        "scenario", "learned source query", "extracted", "produced", "interactions", "time (µs)"
     );
 
     // Scenario 1: relational → XML.
@@ -41,44 +55,27 @@ fn main() {
     let goal =
         JoinPredicate::from_names(customers.schema(), orders.schema(), &[("cid", "cid")]).unwrap();
     let session = interactive_learn(customers, orders, &goal, Strategy::HalveLattice, 1);
-    let (_, report) = learned_publish_relational_to_xml(customers, orders, &goal, "sales", 1);
-    println!(
-        "{:<22} {:<44} {:>9} {:>9} {:>13}",
-        "1 relational→XML",
-        shorten(&report.source_query, 44),
-        report.extracted_items,
-        report.produced_items,
-        session.interactions
-    );
+    let ((_, report), micros) = qbe_bench::time_us(|| {
+        learned_publish_relational_to_xml(customers, orders, &goal, "sales", 1)
+    });
+    row("1 relational→XML", &report, session.interactions, micros);
 
     // Scenario 2: XML → relational.
     let doc = generate(&XmarkConfig::new(qbe_bench::param(0.1, 0.02), 7));
     let goal_q = qbe_twig::parse_xpath("//person/name").unwrap();
     let selected: Vec<_> = select(&goal_q, &doc).into_iter().collect();
     let annotated: Vec<_> = selected.iter().copied().take(2).collect();
-    let (_, report) = learned_shred_xml_to_relational(&doc, &annotated, "person_names").unwrap();
-    println!(
-        "{:<22} {:<44} {:>9} {:>9} {:>13}",
-        "2 XML→relational",
-        shorten(&report.source_query, 44),
-        report.extracted_items,
-        report.produced_items,
-        annotated.len()
-    );
+    let ((_, report), micros) = qbe_bench::time_us(|| {
+        learned_shred_xml_to_relational(&doc, &annotated, "person_names").unwrap()
+    });
+    row("2 XML→relational", &report, annotated.len(), micros);
 
     // Scenario 3: XML → graph.
     let items = doc.nodes_with_label("item");
     let examples: Vec<_> = items.iter().take(2).map(|&n| (&doc, n)).collect();
     let query = learn_from_positives(&examples).unwrap();
-    let (_, report) = shred_xml_to_graph(&doc, &query);
-    println!(
-        "{:<22} {:<44} {:>9} {:>9} {:>13}",
-        "3 XML→graph",
-        shorten(&report.source_query, 44),
-        report.extracted_items,
-        report.produced_items,
-        examples.len()
-    );
+    let ((_, report), micros) = qbe_bench::time_us(|| shred_xml_to_graph(&doc, &query));
+    row("3 XML→graph", &report, examples.len(), micros);
 
     // Scenario 4: graph → XML. The simulated user wants the itineraries whose total distance
     // stays under the median of the candidate itineraries (one of the restrictions the paper's
@@ -124,13 +121,8 @@ fn main() {
         Vec::new(),
         4,
     );
-    let (_, report) = publish_graph_to_xml(&graph, &outcome.accepted_paths, &outcome.learned);
-    println!(
-        "{:<22} {:<44} {:>9} {:>9} {:>13}",
-        "4 graph→XML",
-        shorten(&report.source_query, 44),
-        report.extracted_items,
-        report.produced_items,
-        outcome.interactions
-    );
+    let ((_, report), micros) = qbe_bench::time_us(|| {
+        publish_graph_to_xml(&graph, &outcome.accepted_paths, &outcome.learned)
+    });
+    row("4 graph→XML", &report, outcome.interactions, micros);
 }

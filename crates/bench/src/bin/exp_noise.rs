@@ -98,6 +98,7 @@ fn json_escape_free(curves: &[ModelCurve], smoke: bool, reps: usize, profile: &s
 }
 
 fn main() {
+    let out_path = qbe_bench::out_arg();
     let smoke = qbe_bench::smoke();
     let ps: Vec<f64> = qbe_bench::param(vec![0.0, 0.05, 0.1, 0.15, 0.2], vec![0.0, 0.1]);
     let reps = qbe_bench::param(5usize, 1);
@@ -204,14 +205,7 @@ fn main() {
     faulty.shutdown();
     clean.shutdown();
 
-    let out_path = {
-        let args: Vec<String> = std::env::args().collect();
-        args.iter()
-            .position(|a| a == "--out")
-            .and_then(|ix| args.get(ix + 1).cloned())
-            .or_else(|| (!smoke).then(|| "BENCH_PR10.json".to_string()))
-    };
-    if let Some(out_path) = out_path {
+    if let Some(out_path) = out_path.or_else(|| (!smoke).then(|| "BENCH_PR10.json".to_string())) {
         let json = json_escape_free(&curves, smoke, reps, server_profile);
         std::fs::write(&out_path, json).expect("snapshot file is writable");
         println!("snapshot written to {out_path}");

@@ -10,6 +10,7 @@ use qbe_twig::{learn_from_positives, learn_with_schema, parse_xpath, select};
 use qbe_xml::xmark::{generate, xmark_dtd, XmarkConfig};
 
 fn main() {
+    qbe_bench::check_args();
     println!("E3 — query size before/after schema-aware pruning (XMark DMS)");
     println!(
         "{:<26} {:>14} {:>13} {:>12} {:>12}",

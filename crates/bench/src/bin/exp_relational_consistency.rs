@@ -7,14 +7,13 @@
 //!
 //! Regenerate with `cargo run -p qbe-bench --bin exp_relational_consistency`.
 
-use std::time::Instant;
-
 use qbe_relational::{
     generate_join_instance, join_consistent, semijoin_consistent_exact, semijoin_learn_greedy,
     JoinInstanceConfig, LabelledPair, LabelledTuple,
 };
 
 fn main() {
+    qbe_bench::check_args();
     println!("E8 — join vs semijoin consistency checking");
     println!(
         "{:<8} {:<8} {:>12} {:>16} {:>20} {:>18}",
@@ -47,9 +46,8 @@ fn main() {
                 )
             })
             .collect();
-        let t0 = Instant::now();
-        let join_result = join_consistent(&left, &right, &pair_labels).unwrap();
-        let join_time = t0.elapsed().as_micros();
+        let (join_result, join_time) =
+            qbe_bench::time_us(|| join_consistent(&left, &right, &pair_labels).unwrap());
         assert!(join_result.is_consistent());
 
         // Semijoin labels: each left tuple labelled by whether the goal gives it a partner.
@@ -62,17 +60,14 @@ fn main() {
                 LabelledTuple::new(i, has_partner)
             })
             .collect();
-        let t1 = Instant::now();
-        let exact = semijoin_consistent_exact(&left, &right, &tuple_labels);
-        let exact_time = t1.elapsed().as_micros();
+        let (exact, exact_time) =
+            qbe_bench::time_us(|| semijoin_consistent_exact(&left, &right, &tuple_labels));
         assert!(exact.is_some());
-
-        let t2 = Instant::now();
-        let _ = semijoin_learn_greedy(&left, &right, &tuple_labels);
-        let greedy_time = t2.elapsed().as_micros();
+        let (_, greedy_time) =
+            qbe_bench::time_us(|| semijoin_learn_greedy(&left, &right, &tuple_labels));
 
         println!(
-            "{:<8} {:<8} {:>12} {:>16} {:>20} {:>18}",
+            "{:<8} {:<8} {:>12} {:>16.1} {:>20.1} {:>18.1}",
             arity, rows, pair_space, join_time, exact_time, greedy_time
         );
     }
@@ -98,8 +93,7 @@ fn main() {
                 )
             })
             .collect();
-        let t = Instant::now();
-        let _ = join_consistent(&left, &right, &labels).unwrap();
-        println!("{:<10} {:>16}", rows, t.elapsed().as_micros());
+        let (_, micros) = qbe_bench::time_us(|| join_consistent(&left, &right, &labels).unwrap());
+        println!("{:<10} {:>16.1}", rows, micros);
     }
 }

@@ -8,14 +8,13 @@
 //!
 //! Regenerate with `cargo run -p qbe-bench --bin exp_schema_complexity`.
 
-use std::time::Instant;
-
 use qbe_schema::{dms_from_dtd, learn_dms, schema_contained_in, DependencyGraph};
 use qbe_twig::{parse_xpath, query_satisfiable};
 use qbe_xml::corpus::{generate_corpus, CorpusConfig};
 use qbe_xml::xmark::{generate, xmark_dtd, XmarkConfig};
 
 fn main() {
+    qbe_bench::check_args();
     println!("E5 — schema static analysis: timings on growing schemas");
     println!(
         "{:<12} {:>8} {:>18} {:>18} {:>20} {:>18}",
@@ -38,10 +37,10 @@ fn main() {
         });
         let mut total_alphabet = 0usize;
         let mut total_clauses = 0usize;
-        let mut containment = 0u128;
-        let mut depgraph = 0u128;
-        let mut satisfiability = 0u128;
-        let mut validation = 0u128;
+        let mut containment = 0.0;
+        let mut depgraph = 0.0;
+        let mut satisfiability = 0.0;
+        let mut validation = 0.0;
         for entry in &corpus {
             let Ok(schema) = learn_dms(&entry.documents) else {
                 continue;
@@ -53,28 +52,21 @@ fn main() {
             total_alphabet += schema.alphabet().len();
             total_clauses += schema.clause_count();
 
-            let t0 = Instant::now();
-            let _ = schema_contained_in(&smaller, &schema);
-            containment += t0.elapsed().as_micros();
-
-            let t1 = Instant::now();
-            let graph = DependencyGraph::from_schema(&schema);
-            depgraph += t1.elapsed().as_micros();
-            let _ = graph;
-
+            containment += qbe_bench::time_us(|| schema_contained_in(&smaller, &schema)).1;
+            depgraph += qbe_bench::time_us(|| DependencyGraph::from_schema(&schema)).1;
             let query = parse_xpath("//a").unwrap();
-            let t2 = Instant::now();
-            let _ = query_satisfiable(&schema, &query);
-            satisfiability += t2.elapsed().as_micros();
-
-            let t3 = Instant::now();
-            for d in &entry.documents {
-                let _ = schema.validate(d);
-            }
-            validation += t3.elapsed().as_micros();
+            satisfiability += qbe_bench::time_us(|| query_satisfiable(&schema, &query)).1;
+            let violations = || -> usize {
+                entry
+                    .documents
+                    .iter()
+                    .map(|d| schema.validate(d).len())
+                    .sum()
+            };
+            validation += qbe_bench::time_us(violations).1;
         }
         println!(
-            "{:<12} {:>8} {:>18} {:>18} {:>20} {:>18}",
+            "{:<12} {:>8} {:>18.1} {:>18.1} {:>20.1} {:>18.1}",
             total_alphabet, total_clauses, containment, depgraph, satisfiability, validation
         );
     }
@@ -82,13 +74,11 @@ fn main() {
     // XMark reference point: the schema the twig experiments use.
     let dms = dms_from_dtd(&xmark_dtd()).unwrap();
     let doc = generate(&XmarkConfig::new(qbe_bench::param(0.1, 0.02), 1));
-    let t = Instant::now();
-    let ok = dms.accepts(&doc);
+    let (ok, micros) = qbe_bench::time_us(|| dms.accepts(&doc));
     println!(
-        "\nXMark DMS: {} labels, {} clauses; validating a scale-0.1 document ({} nodes): {} µs (valid: {ok})",
+        "\nXMark DMS: {} labels, {} clauses; validating a scale-0.1 document ({} nodes): {micros:.1} µs (valid: {ok})",
         dms.alphabet().len(),
         dms.clause_count(),
         doc.size(),
-        t.elapsed().as_micros()
     );
 }

@@ -3,7 +3,8 @@
 //! Two claims from the paper: (i) the disjunctive multiplicity schema can express the XMark DTD
 //! and "many" real-world DTDs; (ii) DMS are identifiable in the limit from positive examples.
 //! The first table reports DMS-expressibility over the synthetic web corpus by content-model
-//! style; the second shows the learned schema converging as more documents are provided.
+//! style; the second shows the learned schema converging as more documents are provided, with
+//! the median time of learning it.
 //!
 //! Regenerate with `cargo run -p qbe-bench --bin exp_schema_learning`.
 
@@ -12,6 +13,7 @@ use qbe_xml::corpus::{generate_corpus, CorpusConfig, SchemaStyle};
 use qbe_xml::xmark::{generate, xmark_dtd, XmarkConfig};
 
 fn main() {
+    qbe_bench::check_args();
     println!("E6a — DMS expressibility of DTDs (synthetic web corpus, 20 collections)");
     println!(
         "{:<22} {:>12} {:>14} {:>12}",
@@ -54,8 +56,8 @@ fn main() {
 
     println!("\nE6b — identification in the limit: learned DMS vs number of sample documents");
     println!(
-        "{:<12} {:>10} {:>12} {:>22} {:>20}",
-        "#documents", "labels", "clauses", "accepts all samples", "equal to previous"
+        "{:<12} {:>10} {:>12} {:>22} {:>20} {:>12}",
+        "#documents", "labels", "clauses", "accepts all samples", "equal to previous", "learn (µs)"
     );
     let n_docs = qbe_bench::param(12u64, 4);
     let docs: Vec<_> = (0..n_docs)
@@ -63,19 +65,20 @@ fn main() {
         .collect();
     let mut previous = None;
     for k in qbe_bench::param(vec![1usize, 2, 4, 6, 8, 10, 12], vec![1, 2, 4]) {
-        let learned = learn_dms(&docs[..k]).unwrap();
+        let (learned, micros) = qbe_bench::time_us(|| learn_dms(&docs[..k]).unwrap());
         let accepts_all = docs[..k].iter().all(|d| learned.accepts(d));
         let stable = previous
             .as_ref()
             .map(|p| schema_equivalent(p, &learned))
             .unwrap_or(false);
         println!(
-            "{:<12} {:>10} {:>12} {:>22} {:>20}",
+            "{:<12} {:>10} {:>12} {:>22} {:>20} {:>12.1}",
             k,
             learned.alphabet().len(),
             learned.clause_count(),
             accepts_all,
-            stable
+            stable,
+            micros
         );
         if let Some(p) = &previous {
             // Monotone generalisation: the schema learned from fewer documents is contained in

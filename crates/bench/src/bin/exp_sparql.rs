@@ -9,8 +9,6 @@
 //!
 //! Regenerate with `cargo run -p qbe-bench --bin exp_sparql`.
 
-use std::time::Instant;
-
 use qbe_graph::{
     evaluate, generate_geo_graph, is_well_designed, Constraint, GeoConfig, GraphPattern, PathRegex,
     PredTerm, Term,
@@ -21,6 +19,7 @@ fn road(from: &str, to: &str) -> GraphPattern {
 }
 
 fn main() {
+    qbe_bench::check_args();
     println!("E13 — SPARQL-style pattern evaluation vs the learnable path-query fragment\n");
 
     // The three queries under comparison.
@@ -64,27 +63,21 @@ fn main() {
             ..Default::default()
         });
 
-        let t0 = Instant::now();
-        let rpq_answers = evaluate(&graph, &rpq).len();
-        let rpq_us = t0.elapsed().as_micros();
-
-        let t1 = Instant::now();
-        let a_solutions = qbe_graph::evaluate_pattern(&graph, &well_designed).len();
-        let a_us = t1.elapsed().as_micros();
-
-        let t2 = Instant::now();
-        let b_solutions = qbe_graph::evaluate_pattern(&graph, &non_well_designed).len();
-        let b_us = t2.elapsed().as_micros();
+        let (rpq_answers, rpq_us) = qbe_bench::time_us(|| evaluate(&graph, &rpq));
+        let (a_solutions, a_us) =
+            qbe_bench::time_us(|| qbe_graph::evaluate_pattern(&graph, &well_designed));
+        let (b_solutions, b_us) =
+            qbe_bench::time_us(|| qbe_graph::evaluate_pattern(&graph, &non_well_designed));
 
         println!(
-            "{:<8} {:>7} {:>14} {:>12} {:>16} {:>12} {:>18} {:>12}",
+            "{:<8} {:>7} {:>14} {:>12.1} {:>16} {:>12.1} {:>18} {:>12.1}",
             cities,
             graph.edge_count(),
-            rpq_answers,
+            rpq_answers.len(),
             rpq_us,
-            a_solutions,
+            a_solutions.len(),
             a_us,
-            b_solutions,
+            b_solutions.len(),
             b_us
         );
     }

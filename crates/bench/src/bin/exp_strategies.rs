@@ -198,6 +198,7 @@ fn check(model: &str, rows: &[Row], expected_sessions: usize) {
 }
 
 fn main() {
+    qbe_bench::check_args();
     let scale = qbe_bench::param(0.03, 0.008);
     let seeds: Vec<u64> = qbe_bench::param(vec![1, 2, 3, 4], vec![1]);
 

@@ -7,8 +7,6 @@
 //!
 //! Regenerate with `cargo run -p qbe-bench --bin exp_twig_consistency`.
 
-use std::time::Instant;
-
 use qbe_twig::consistency::exhaustive_consistent;
 use qbe_twig::{most_specific_consistent, parse_xpath, ExampleSet};
 use qbe_xml::random::{RandomTreeConfig, RandomTreeGenerator};
@@ -30,6 +28,7 @@ fn random_docs(n: usize, seed: u64) -> Vec<XmlTree> {
 }
 
 fn main() {
+    qbe_bench::check_args();
     println!("E4 — consistency with positives and negatives: polynomial vs exhaustive");
     println!(
         "{:<12} {:<12} {:>16} {:>12} {:>16} {:>12}",
@@ -45,16 +44,11 @@ fn main() {
         let docs = random_docs(4, negatives as u64);
         let set = ExampleSet::from_goal(&goal, docs, 2, negatives, 7);
 
-        let t0 = Instant::now();
-        let poly = most_specific_consistent(&set);
-        let poly_time = t0.elapsed().as_micros();
-
-        let t1 = Instant::now();
-        let exact = exhaustive_consistent(&set, 3);
-        let exact_time = t1.elapsed().as_micros();
+        let (poly, poly_time) = qbe_bench::time_us(|| most_specific_consistent(&set));
+        let (exact, exact_time) = qbe_bench::time_us(|| exhaustive_consistent(&set, 3));
 
         println!(
-            "{:<12} {:<12} {:>16} {:>12} {:>16} {:>12}",
+            "{:<12} {:<12} {:>16.1} {:>12} {:>16.1} {:>12}",
             set.positives().len(),
             set.negatives().len(),
             poly_time,
@@ -69,8 +63,7 @@ fn main() {
     for k in qbe_bench::param(vec![2usize, 3, 4, 5, 6], vec![2, 3]) {
         let docs = random_docs(2, 99);
         let set = ExampleSet::from_goal(&goal, docs, k / 2 + 1, k / 2, 3);
-        let t = Instant::now();
-        let _ = exhaustive_consistent(&set, 3);
-        println!("{:<8} {:>16}", k, t.elapsed().as_micros());
+        let (_, micros) = qbe_bench::time_us(|| exhaustive_consistent(&set, 3));
+        println!("{:<8} {:>16.1}", k, micros);
     }
 }

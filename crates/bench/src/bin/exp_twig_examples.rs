@@ -8,6 +8,9 @@
 //! converge within a couple of examples while heterogeneous ones need more; the schema-aware
 //! learner removes the schema-implied part of that gap (the rest is addressed in E3).
 //!
+//! Timing tables follow: the learner's time by example count and by document size (XMark
+//! scale), and the time of `select` for four goal queries.
+//!
 //! Regenerate with `cargo run -p qbe-bench --bin exp_twig_examples`.
 
 use qbe_schema::dms_from_dtd;
@@ -98,7 +101,50 @@ fn render(n: Option<f64>) -> String {
     }
 }
 
+/// The learner's time by example count and by document size, and `select`'s per query.
+fn timings(doc: &XmlTree) {
+    println!("\nE2 timings — learn_from_positives by example count (//person/name):");
+    println!("{:<10} {:>12}", "examples", "learn (µs)");
+    let goal = parse_xpath("//person/name").expect("goal parses");
+    let answers = select(&goal, doc);
+    for k in qbe_bench::param(vec![1usize, 2, 4, 8], vec![1, 2]) {
+        let examples: Vec<_> = answers.iter().take(k).map(|&n| (doc, n)).collect();
+        assert_eq!(examples.len(), k, "the document has {k} person names");
+        let (_, micros) = qbe_bench::time_us(|| learn_from_positives(&examples).unwrap());
+        println!("{k:<10} {micros:>12.1}");
+    }
+
+    println!("\nby document size (//open_auction/bidder, 2 examples):");
+    println!("{:<8} {:>8} {:>12}", "scale", "nodes", "learn (µs)");
+    let goal = parse_xpath("//open_auction/bidder").expect("goal parses");
+    for scale in qbe_bench::param(vec![0.02, 0.05, 0.1, 0.2], vec![0.02]) {
+        let doc = generate(&XmarkConfig::new(scale, 3));
+        let examples: Vec<_> = select(&goal, &doc)
+            .into_iter()
+            .take(2)
+            .map(|n| (&doc, n))
+            .collect();
+        assert_eq!(examples.len(), 2, "scale {scale} has two bidders");
+        let (_, micros) = qbe_bench::time_us(|| learn_from_positives(&examples).unwrap());
+        println!("{scale:<8} {:>8} {micros:>12.1}", doc.size());
+    }
+
+    println!("\nselect per goal query ({} nodes):", doc.size());
+    println!("{:<34} {:>10} {:>12}", "xpath", "selected", "select (µs)");
+    for xpath in [
+        "//person",
+        "//person/name",
+        "/site/regions//item",
+        "//open_auction/bidder/increase",
+    ] {
+        let query = parse_xpath(xpath).expect("query parses");
+        let (selected, micros) = qbe_bench::time_us(|| select(&query, doc));
+        println!("{xpath:<34} {:>10} {micros:>12.1}", selected.len());
+    }
+}
+
 fn main() {
+    qbe_bench::check_args();
     println!("E2 — examples needed for the twig learner to reach the goal query");
     println!(
         "{:<26} {:<28} {:>10} {:>14} {:>20}",
@@ -158,4 +204,6 @@ fn main() {
          in optional content need a few more annotations before the overspecialised filters \
          disappear (the schema-implied part of those filters is the subject of E3)."
     );
+
+    timings(&docs[0]);
 }

@@ -92,3 +92,46 @@ fn all_experiment_binaries_are_listed() {
         "src/bin and the EXPERIMENTS list are out of sync"
     );
 }
+
+#[test]
+fn every_experiment_rejects_an_unknown_argument() {
+    for (name, exe) in EXPERIMENTS {
+        let output = Command::new(exe)
+            .arg("--smoek")
+            .env_remove("QBE_BENCH_SMOKE")
+            .output()
+            .unwrap_or_else(|e| panic!("failed to spawn `{name}` ({exe}): {e}"));
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(
+            !output.status.success(),
+            "`{name} --smoek` exited with {}",
+            output.status
+        );
+        assert!(
+            stderr.contains("--smoek"),
+            "`{name} --smoek` did not name the argument on stderr: {stderr}"
+        );
+    }
+}
+
+#[test]
+fn exp_noise_rejects_out_without_a_path_and_writes_nothing() {
+    let dir = std::env::temp_dir().join(format!("qbe-exp-noise-out-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temporary directory");
+    for args in [&["--out"][..], &["--out", "--smoke"]] {
+        let output = Command::new(env!("CARGO_BIN_EXE_exp_noise"))
+            .args(args)
+            .current_dir(&dir)
+            .output()
+            .expect("exp_noise spawns");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(!output.status.success(), "exp_noise {args:?} succeeded");
+        assert!(stderr.contains("--out"), "exp_noise {args:?}: {stderr}");
+    }
+    let written: Vec<_> = std::fs::read_dir(&dir)
+        .expect("readable directory")
+        .map(|entry| entry.expect("readable dir entry").file_name())
+        .collect();
+    std::fs::remove_dir_all(&dir).ok();
+    assert!(written.is_empty(), "exp_noise wrote {written:?}");
+}

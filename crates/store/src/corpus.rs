@@ -507,6 +507,41 @@ mod tests {
         CorpusSnapshot::decode(&SnapshotReader::open(MemBackend::new(bytes))?)
     }
 
+    /// [`decode_bytes`], asserting that its peak heap stays within the bound of
+    /// [`crate::heap::bounded`].
+    fn decode_bounded(bytes: Vec<u8>) -> Result<CorpusSnapshot, StoreError> {
+        crate::heap::bounded(bytes.len(), || decode_bytes(bytes))
+    }
+
+    #[test]
+    fn a_generated_corpus_decodes_within_the_heap_bound() {
+        use qbe_graph::{generate_geo_graph, GeoConfig};
+        use qbe_relational::{generate_join_instance, JoinInstanceConfig};
+        use qbe_xml::xmark::{generate, XmarkConfig};
+        let (left, right, demo_join_goal) = generate_join_instance(&JoinInstanceConfig {
+            left_rows: 40,
+            right_rows: 40,
+            extra_attributes: 2,
+            domain_size: 6,
+            seed: 1,
+        });
+        let corpus = CorpusSnapshot {
+            name: "generated".to_string(),
+            docs: (0..2)
+                .map(|seed| generate(&XmarkConfig::new(0.02, seed)))
+                .collect(),
+            graph: generate_geo_graph(&GeoConfig {
+                cities: 40,
+                ..Default::default()
+            }),
+            left,
+            right,
+            demo_join_goal,
+        };
+        let decoded = decode_bounded(corpus.encode()).unwrap();
+        assert_eq!(decoded.docs.len(), 2);
+    }
+
     #[test]
     fn a_count_overwritten_anywhere_decodes_or_errs() {
         let reader = SnapshotReader::open(MemBackend::new(sample().encode())).unwrap();
@@ -514,7 +549,7 @@ mod tests {
         for (section, kind) in kinds.into_iter().enumerate() {
             let len = reader.read_section(kind).unwrap().len();
             for at in 0..len.saturating_sub(3) {
-                let _ = decode_bytes(resealed_sample(section, |payload| {
+                let _ = decode_bounded(resealed_sample(section, |payload| {
                     payload[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes())
                 }));
             }
@@ -526,16 +561,16 @@ mod tests {
 
         /// Arbitrary bytes, as a file and as one section's payload, and valid snapshots with
         /// one `u32` overwritten or a few bytes flipped in one section, decode to a corpus or
-        /// an error — never a panic or an abort.
+        /// an error — never a panic, an abort or a heap out of proportion to the snapshot.
         #[test]
         fn decode_survives_arbitrary_and_mutated_snapshots(seed in 0u64..1_000_000) {
             let mut rng = StdRng::seed_from_u64(seed);
             let garbage: Vec<u8> = (0..rng.gen_range(0..256))
                 .map(|_| rng.gen_range(0..=255))
                 .collect();
-            let _ = decode_bytes(garbage.clone());
+            let _ = decode_bounded(garbage.clone());
             let section = rng.gen_range(0..4);
-            let _ = decode_bytes(resealed_sample(section, |payload| payload.clone_from(&garbage)));
+            let _ = decode_bounded(resealed_sample(section, |payload| payload.clone_from(&garbage)));
 
             let section = rng.gen_range(0..4);
             let bytes = resealed_sample(section, |payload| {
@@ -550,7 +585,7 @@ mod tests {
                     }
                 }
             });
-            let _ = decode_bytes(bytes);
+            let _ = decode_bounded(bytes);
         }
     }
 

@@ -27,6 +27,8 @@
 pub mod backend;
 pub mod codec;
 pub mod corpus;
+#[cfg(test)]
+mod heap;
 pub mod snapshot;
 pub mod wal;
 

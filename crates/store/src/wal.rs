@@ -647,19 +647,41 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    /// [`parse_records`], asserting that its peak heap stays within the bound of
+    /// [`crate::heap::bounded`].
+    fn parse_bounded(log: &[u8]) -> Result<(Vec<WalRecord>, usize), StoreError> {
+        crate::heap::bounded(log.len(), || parse_records(log))
+    }
+
+    #[test]
+    fn a_long_log_parses_within_the_heap_bound() {
+        let answers = (0..4096).map(|ix| WalRecord::Answer {
+            session: 1,
+            positive: ix % 3 == 0,
+        });
+        let records: Vec<WalRecord> = sample_records().into_iter().chain(answers).collect();
+        let log: Vec<u8> = records
+            .iter()
+            .flat_map(|r| frame(&r.encode_body()))
+            .collect();
+        let (parsed, _) = parse_bounded(&log).unwrap();
+        assert_eq!(parsed, records);
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         /// Arbitrary bytes, and valid logs with the `Start` params count overwritten or a few
-        /// bytes flipped, parse to records or an error — never a panic or an abort. Mutated
-        /// frames get fresh checksums, so every mutation reaches the record decoder.
+        /// bytes flipped, parse to records or an error — never a panic, an abort or a heap
+        /// out of proportion to the log. Mutated frames get fresh checksums, so every mutation
+        /// reaches the record decoder.
         #[test]
         fn parse_records_survives_arbitrary_and_mutated_logs(seed in 0u64..1_000_000) {
             let mut rng = StdRng::seed_from_u64(seed);
             let garbage: Vec<u8> = (0..rng.gen_range(0..64))
                 .map(|_| rng.gen_range(0..=255))
                 .collect();
-            let _ = parse_records(&garbage);
+            let _ = parse_bounded(&garbage);
 
             let mut bodies: Vec<Vec<u8>> =
                 sample_records().iter().map(WalRecord::encode_body).collect();
@@ -670,7 +692,7 @@ mod tests {
             bodies[0][count_at..count_at + 4].copy_from_slice(&count.to_le_bytes());
             let log: Vec<u8> = bodies.iter().flat_map(|body| frame(body)).collect();
             prop_assert!(
-                count == 2 || matches!(parse_records(&log), Err(StoreError::Corrupt(_))),
+                count == 2 || matches!(parse_bounded(&log), Err(StoreError::Corrupt(_))),
                 "params count {} decoded", count
             );
 
@@ -682,7 +704,7 @@ mod tests {
                 body[at] ^= rng.gen_range(1u8..=255);
             }
             let log: Vec<u8> = bodies.iter().flat_map(|body| frame(body)).collect();
-            let _ = parse_records(&log);
+            let _ = parse_bounded(&log);
         }
     }
 
