@@ -18,11 +18,10 @@
 //! `qbe-algebra.cache_hit_frac` reports the sharing on served sessions (`perfbench/README.md`).
 //!
 //! A session holds each fact once. The question universe is one sorted list of pairs, and a
-//! pair's question id is its position in that list. Each hypothesis keeps its answer set only
-//! as a bitset over those ids: the learned query's size is a popcount, and its pairs are
-//! rebuilt from the bitset when [`QuerySession::learned_pairs`] asks for them. The session is
-//! driven by the same propose/record loop as every other learner ([`QuerySession::propose`],
-//! [`QuerySession::record`]).
+//! pair's question id is its position in that list. Questions accepted by the same hypotheses
+//! share a *class* (their acceptor set, the tidset of closed-pattern mining), kept as one bitset
+//! over hypotheses: an answer is one `AND` (or `AND NOT`) of the alive hypotheses with its class,
+//! and accept counts are one popcount per class. A hypothesis keeps its query and answer size.
 
 use crate::index::GraphIndex;
 use crate::interactive::PathStrategy;
@@ -190,15 +189,6 @@ pub struct CseStats {
     pub misses: usize,
 }
 
-/// One deduplicated hypothesis: a candidate query with its answer set over the question
-/// universe.
-#[derive(Debug, Clone)]
-struct Hypothesis {
-    query: CandidateQuery,
-    /// The answer set, as a bitset over question ids.
-    accepts: DenseSet<usize>,
-}
-
 /// Interactive session learning one query of a [`QueryClass`] over a typed graph.
 ///
 /// Generic over graph ownership exactly like [`crate::interactive::PathSession`]: borrow for
@@ -206,13 +196,17 @@ struct Hypothesis {
 pub struct QuerySession<G: Borrow<PropertyGraph>> {
     graph: G,
     store: QueryStore,
-    hypotheses: Vec<Hypothesis>,
+    /// The hypotheses: the semantically distinct candidates, with their answer-set sizes.
+    queries: Vec<CandidateQuery>,
+    answer_counts: Vec<usize>,
     alive: DenseSet<usize>,
     /// The question universe: every pair some candidate selects, in ascending order. A
     /// question's id is its position here.
     questions: Vec<(GNodeId, GNodeId)>,
-    /// For each question, how many *alive* hypotheses select it.
-    accept_counts: Vec<usize>,
+    /// The class of each question.
+    class_of: Vec<u32>,
+    /// Per class, the hypotheses that select its questions: non-empty and pairwise distinct.
+    acceptors: Vec<DenseSet<usize>>,
     /// Questions neither asked nor determined (maintained like `PathSession::pool`).
     pool: DenseSet<usize>,
     /// Answers recorded so far.
@@ -263,32 +257,51 @@ impl<G: Borrow<PropertyGraph>> QuerySession<G> {
         questions.dedup();
         questions.shrink_to_fit();
 
-        let mut hypotheses = Vec::with_capacity(kept.len());
-        let mut accept_counts = vec![0usize; questions.len()];
-        for &ix in &kept {
-            let mut accepts = DenseSet::new(questions.len());
+        // Partition refinement: each hypothesis moves the questions it selects from their class
+        // to the class "their acceptors plus it", made on first use and kept as (the class it
+        // grew from, the hypothesis added). Class 0 is the empty set.
+        let mut class_of = vec![0u32; questions.len()];
+        let mut grown: Vec<(usize, usize)> = vec![(0, 0)];
+        for (h, &ix) in kept.iter().enumerate() {
+            let mut moved_to = vec![None; grown.len()];
+            let mut q = 0;
             for &(s, t) in &answers[ix] {
-                let q = questions
-                    .binary_search(&(GNodeId(s as u32), GNodeId(t as u32)))
-                    .expect("every answer pair is a question");
-                accepts.insert(q);
-                accept_counts[q] += 1;
+                // Answers ascend like the questions: gallop on from the previous answer's id.
+                let pair = (GNodeId(s as u32), GNodeId(t as u32));
+                let mut end = q + 1;
+                while end < questions.len() && questions[end] < pair {
+                    end += end - q;
+                }
+                q += questions[q..questions.len().min(end + 1)].partition_point(|&p| p < pair);
+                let from = class_of[q] as usize;
+                class_of[q] = *moved_to[from].get_or_insert_with(|| {
+                    grown.push((from, h));
+                    (grown.len() - 1) as u32
+                });
             }
-            hypotheses.push(Hypothesis {
-                query: pool[ix].clone(),
-                accepts,
-            });
         }
-        let alive = DenseSet::full(hypotheses.len());
-        let pool = DenseSet::full(questions.len());
+        // Keep the classes some question ended in, acceptors read back along the chain grown.
+        let mut renumbered = vec![u32::MAX; grown.len()];
+        let mut acceptors = Vec::new();
+        for c in &mut class_of {
+            if renumbered[*c as usize] == u32::MAX {
+                renumbered[*c as usize] = acceptors.len() as u32;
+                let chain = std::iter::successors(Some(*c as usize), |&at| Some(grown[at].0));
+                let added = chain.take_while(|&at| at != 0).map(|at| grown[at].1);
+                acceptors.push(DenseSet::from_ids(kept.len(), added));
+            }
+            *c = renumbered[*c as usize];
+        }
         QuerySession {
             graph,
             store,
-            hypotheses,
-            alive,
+            queries: kept.iter().map(|&ix| pool[ix].clone()).collect(),
+            answer_counts: kept.iter().map(|&ix| answers[ix].len()).collect(),
+            alive: DenseSet::full(kept.len()),
+            pool: DenseSet::full(questions.len()),
             questions,
-            accept_counts,
-            pool,
+            class_of,
+            acceptors,
             labelled: 0,
             strategy: resolved.strategy,
             budget: resolved.budget,
@@ -313,7 +326,7 @@ impl<G: Borrow<PropertyGraph>> QuerySession<G> {
 
     /// Number of (semantically distinct) candidate queries.
     pub fn candidate_count(&self) -> usize {
-        self.hypotheses.len()
+        self.queries.len()
     }
 
     /// Number of candidates still consistent with every label.
@@ -336,49 +349,46 @@ impl<G: Borrow<PropertyGraph>> QuerySession<G> {
         self.labelled
     }
 
-    /// The most specific surviving candidate: smallest answer set, then smallest query.
-    /// `None` when the version space is empty (contradictory labels).
-    fn most_specific(&self) -> Option<&Hypothesis> {
-        self.alive
-            .iter()
-            .map(|ix| &self.hypotheses[ix])
-            .min_by_key(|h| (h.accepts.len(), h.query.size(&self.store)))
+    /// The most specific surviving candidate's id: smallest answer set, then smallest query,
+    /// first on ties. `None` when the version space is empty (contradictory labels).
+    fn most_specific(&self) -> Option<usize> {
+        let specificity = |&h: &usize| (self.answer_counts[h], self.queries[h].size(&self.store));
+        self.alive.iter().min_by_key(specificity)
     }
 
     /// The learned query rendered: the most specific candidate consistent with every label.
     pub fn learned_query(&self) -> String {
         match self.most_specific() {
-            Some(h) => h.query.render(&self.store),
+            Some(h) => self.queries[h].render(&self.store),
             None => "∅ (inconsistent labels)".to_string(),
         }
     }
 
     /// The size of the learned query's answer set (0 when the labels are inconsistent).
     pub fn learned_answer_count(&self) -> usize {
-        self.most_specific().map_or(0, |h| h.accepts.len())
+        self.most_specific().map_or(0, |h| self.answer_counts[h])
     }
 
-    /// The learned query's answer set, built from its bitset on request.
+    /// The learned query's answer set, rebuilt on request from the classes that it accepts.
     pub fn learned_pairs(&self) -> BTreeSet<(GNodeId, GNodeId)> {
-        self.most_specific()
-            .map(|h| h.accepts.iter().map(|q| self.questions[q]).collect())
-            .unwrap_or_default()
+        let h = self.most_specific();
+        let accepted =
+            |q: usize| h.is_some_and(|h| self.acceptors[self.class_of[q] as usize].contains(h));
+        (0..self.questions.len())
+            .filter(|&q| accepted(q))
+            .map(|q| self.questions[q])
+            .collect()
     }
 
-    /// Record a user label and prune the version space.
+    /// Record a user label and prune the version space to the hypotheses that agree with it.
     pub fn record(&mut self, question_ix: usize, positive: bool) {
         self.labelled += 1;
         self.pool.remove(question_ix);
-        let dead: Vec<usize> = self
-            .alive
-            .iter()
-            .filter(|&ix| self.hypotheses[ix].accepts.contains(question_ix) != positive)
-            .collect();
-        for ix in dead {
-            self.alive.remove(ix);
-            for q in self.hypotheses[ix].accepts.iter() {
-                self.accept_counts[q] -= 1;
-            }
+        let acceptors = &self.acceptors[self.class_of[question_ix] as usize];
+        if positive {
+            self.alive.and_with(acceptors);
+        } else {
+            self.alive.and_not_with(acceptors);
         }
     }
 
@@ -389,26 +399,25 @@ impl<G: Borrow<PropertyGraph>> QuerySession<G> {
             return None;
         }
         let total = self.alive.len();
-        let mut informative: Vec<usize> = Vec::new();
-        let mut determined: Vec<usize> = Vec::new();
-        for q in self.pool.iter() {
-            let accepted = self.accept_counts[q];
-            if accepted == 0 || accepted == total {
-                determined.push(q);
-            } else {
-                informative.push(q);
-            }
-        }
+        let accepted_by_class: Vec<usize> = self
+            .acceptors
+            .iter()
+            .map(|acceptors| acceptors.intersection_len(&self.alive))
+            .collect();
+        let accepted_by = |q: usize| accepted_by_class[self.class_of[q] as usize];
+        let (informative, determined): (Vec<usize>, Vec<usize>) = self
+            .pool
+            .iter()
+            .partition(|&q| (1..total).contains(&accepted_by(q)));
         for q in determined {
             self.pool.remove(q);
         }
-        let half = total / 2;
         let candidates: Vec<Candidate> = informative
             .iter()
             .map(|&q| {
-                let accepted = self.accept_counts[q];
+                let accepted = accepted_by(q);
                 Candidate {
-                    informativeness: -(accepted.abs_diff(half) as f64),
+                    informativeness: -(accepted.abs_diff(total / 2) as f64),
                     cost: q as f64,
                     coverage: accepted.min(total - accepted) as f64,
                     specificity: 0.0,
@@ -416,11 +425,10 @@ impl<G: Borrow<PropertyGraph>> QuerySession<G> {
                 }
             })
             .collect();
-        let view = PoolView {
+        let pick = self.strategy.pick(&PoolView {
             asked: self.labelled,
             candidates: &candidates,
-        };
-        let pick = self.strategy.pick(&view)?;
+        })?;
         informative.get(pick).copied()
     }
 }
@@ -430,6 +438,8 @@ mod tests {
     use super::*;
     use crate::geo::{generate_geo_graph, GeoConfig};
     use crate::lower::typed_road_view;
+
+    type Pairs = BTreeSet<(GNodeId, GNodeId)>;
 
     fn typed_graph() -> PropertyGraph {
         let g = generate_geo_graph(&GeoConfig {
@@ -490,33 +500,94 @@ mod tests {
         }
     }
 
+    /// Each hypothesis's answer set, evaluated afresh, as sets of question pairs.
+    fn fresh_answers(graph: &PropertyGraph, session: &QuerySession<&PropertyGraph>) -> Vec<Pairs> {
+        let index = GraphIndex::build(graph);
+        let queries = &session.queries;
+        let answers = evaluate_candidates(&session.store, &index, &mut EvalCache::new(), queries);
+        let pair = |(s, t): (usize, usize)| (GNodeId(s as u32), GNodeId(t as u32));
+        let as_pairs = |answer: BTreeSet<(usize, usize)>| answer.into_iter().map(pair).collect();
+        answers.into_iter().map(as_pairs).collect()
+    }
+
+    /// The hypotheses whose fresh answer set holds question `q`.
+    fn fresh_acceptors(
+        session: &QuerySession<&PropertyGraph>,
+        answers: &[Pairs],
+        q: usize,
+    ) -> Vec<usize> {
+        let pair = session.questions[q];
+        (0..answers.len())
+            .filter(|&h| answers[h].contains(&pair))
+            .collect()
+    }
+
     #[test]
-    fn questions_ascend_and_each_bitset_is_its_candidates_answer_set() {
+    fn questions_ascend_and_each_class_holds_exactly_its_acceptors() {
         let typed = typed_graph();
-        let index = GraphIndex::build(&typed);
         for class in QueryClass::ALL {
             let session = QuerySession::with_config(&typed, class, SessionConfig::new().seed(0));
             assert!(
                 session.questions.windows(2).all(|w| w[0] < w[1]),
                 "question ids follow the pairs' ascending order, without repeats"
             );
-            let queries: Vec<CandidateQuery> =
-                session.hypotheses.iter().map(|h| h.query.clone()).collect();
-            let answers =
-                evaluate_candidates(&session.store, &index, &mut EvalCache::new(), &queries);
-            for (h, answer) in session.hypotheses.iter().zip(&answers) {
-                let from_bits: BTreeSet<(usize, usize)> = h
-                    .accepts
-                    .iter()
+            let answers = fresh_answers(&typed, &session);
+            for (h, answer) in answers.iter().enumerate() {
+                let from_classes: Pairs = (0..session.question_count())
+                    .filter(|&q| session.acceptors[session.class_of[q] as usize].contains(h))
                     .map(|q| session.questions[q])
-                    .map(|(s, t)| (s.0 as usize, t.0 as usize))
                     .collect();
-                assert_eq!(&from_bits, answer, "{}", h.query.render(&session.store));
+                let query = session.queries[h].render(&session.store);
+                assert_eq!(&from_classes, answer, "{query}");
+                assert_eq!(session.answer_counts[h], answer.len(), "{query}");
             }
-            // Every question is some candidate's answer, and counted once per acceptor.
-            for (q, &count) in session.accept_counts.iter().enumerate() {
-                let acceptors = session.hypotheses.iter().filter(|h| h.accepts.contains(q));
-                assert!(count > 0 && count == acceptors.count(), "question {q}");
+            // Every question is some candidate's answer, and its class holds its acceptors.
+            for q in 0..session.question_count() {
+                let acceptors = fresh_acceptors(&session, &answers, q);
+                let class = &session.acceptors[session.class_of[q] as usize];
+                assert!(!acceptors.is_empty(), "question {q}");
+                assert_eq!(class.iter().collect::<Vec<_>>(), acceptors, "question {q}");
+            }
+        }
+    }
+
+    #[test]
+    fn classes_are_the_distinct_acceptor_sets() {
+        let medium = typed_road_view(&generate_geo_graph(&GeoConfig {
+            cities: 256,
+            connectivity: 3,
+            ..Default::default()
+        }));
+        let cases = [
+            (typed_graph(), [None; 3]),
+            (medium, [Some(169), Some(975), Some(975)]),
+        ];
+        for (typed, pinned) in cases {
+            for (class, pinned) in QueryClass::ALL.into_iter().zip(pinned) {
+                let session =
+                    QuerySession::with_config(&typed, class, SessionConfig::new().seed(0));
+                let answers = fresh_answers(&typed, &session);
+                let distinct: BTreeSet<Vec<usize>> = (0..session.question_count())
+                    .map(|q| fresh_acceptors(&session, &answers, q))
+                    .collect();
+                assert_eq!(
+                    session.acceptors.len(),
+                    distinct.len(),
+                    "{}",
+                    class.wire_name()
+                );
+                let classes: BTreeSet<Vec<usize>> = session
+                    .acceptors
+                    .iter()
+                    .map(|a| a.iter().collect())
+                    .collect();
+                assert_eq!(
+                    classes, distinct,
+                    "classes are non-empty and pairwise distinct"
+                );
+                if let Some(count) = pinned {
+                    assert_eq!(session.acceptors.len(), count, "{}", class.wire_name());
+                }
             }
         }
     }
@@ -587,15 +658,11 @@ mod tests {
             QuerySession::with_config(&typed, QueryClass::Rpq, SessionConfig::new().seed(0));
         let q = session.propose().expect("informative question");
         session.record(q, true);
-        // Claim the opposite for the same pair via a fresh question index is impossible —
-        // instead kill everything by labelling every remaining question negative AND the
-        // first positive pair's supersets inconsistently: simplest check is that record
-        // keeps counters consistent as the space shrinks to (at least) one candidate.
-        while let Some(next) = session.propose() {
-            session.record(next, false);
-        }
-        let learned = session.learned_query();
-        assert!(!learned.is_empty());
-        assert!(session.version_space_size() >= 1 || learned.contains("inconsistent"));
+        session.record(q, false);
+        assert_eq!(session.version_space_size(), 0);
+        assert_eq!(session.learned_query(), "∅ (inconsistent labels)");
+        assert_eq!(session.learned_answer_count(), 0);
+        assert!(session.learned_pairs().is_empty());
+        assert_eq!(session.propose(), None);
     }
 }

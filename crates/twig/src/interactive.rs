@@ -172,9 +172,9 @@ impl Strategy for LabelAffinity {
 /// An in-progress interactive twig-learning session.
 ///
 /// All per-round bookkeeping runs on dense bitsets: one [`DenseSet`] per document for the
-/// labelled, negative, determined-negative, certain-positive and still-informative node sets,
-/// so each proposal round updates the candidate pool by word-level set difference instead of
-/// rescanning every node against `BTreeSet`s.
+/// labelled, negative, determined-negative and still-informative node sets, so each proposal
+/// round updates the candidate pool by word-level set difference instead of rescanning every
+/// node against `BTreeSet`s.
 #[derive(Debug)]
 pub struct TwigSession {
     docs: Arc<Vec<XmlTree>>,
@@ -186,15 +186,12 @@ pub struct TwigSession {
     annotations: Vec<Annotation>,
     /// The pluggable question-selection policy, consulted once per proposal round.
     strategy: Box<dyn Strategy>,
-    /// Question cap, if any: once `asked` reaches it, the session completes.
+    /// Question cap, if any: once the annotations reach it, the session completes.
     budget: Option<usize>,
-    asked: usize,
     /// Per-document bitset of labelled nodes.
     labelled_bits: Vec<DenseSet<NodeId>>,
     /// Per-document bitset of nodes proven determined-negative so far (never re-analysed).
     determined_bits: Vec<DenseSet<NodeId>>,
-    /// Per-document answer bitset of the current candidate, refreshed per positive-count epoch.
-    certain_bits: Vec<DenseSet<NodeId>>,
     /// Per-document pool of still-informative nodes: `all ∖ labelled ∖ determined ∖ certain`,
     /// maintained incrementally (full rebuild only when the candidate — and with it the certain
     /// region — changes, i.e. once per positive answer).
@@ -214,7 +211,7 @@ pub struct TwigSession {
     path_ids: Vec<Vec<u32>>,
     /// Determined-negative proofs of the current positive epoch, by extended-spine class.
     classes: Option<SpineClasses>,
-    /// Positive-label count the `certain_bits` and `pool` were computed for.
+    /// Positive-label count the `pool` was computed for.
     known_positives: usize,
     /// Set once a generalised candidate swallows an earlier negative.
     inconsistent: bool,
@@ -487,10 +484,8 @@ impl TwigSession {
             annotations: Vec::new(),
             strategy: resolved.strategy,
             budget: resolved.budget,
-            asked: 0,
             labelled_bits: empty.clone(),
             determined_bits: empty.clone(),
-            certain_bits: empty.clone(),
             pool,
             negative_bits: empty,
             positive_count: 0,
@@ -610,7 +605,6 @@ impl TwigSession {
         } else {
             self.negative_bits[doc].insert(node);
         }
-        self.asked += 1;
     }
 
     /// Whether `query` classifies every collected label correctly.
@@ -872,7 +866,7 @@ impl TwigSession {
         if self.inconsistent {
             return None;
         }
-        if self.budget.is_some_and(|cap| self.asked >= cap) {
+        if self.budget.is_some_and(|cap| self.annotations.len() >= cap) {
             return None;
         }
         if self.positive_count != self.known_positives {
@@ -882,11 +876,9 @@ impl TwigSession {
                 Some(q) => eval_all(&self.docs, &self.indexes, &self.caches, q),
                 None => self.docs.iter().map(|d| DenseSet::new(d.size())).collect(),
             };
-            self.certain_bits = certain;
             // A generalised candidate may have swallowed an earlier negative: the labels no
             // longer admit a consistent anchored twig, matching `is_consistent`.
-            if self
-                .certain_bits
+            if certain
                 .iter()
                 .zip(&self.negative_bits)
                 .any(|(certain, negatives)| certain.intersection_len(negatives) > 0)
@@ -901,14 +893,14 @@ impl TwigSession {
                 *pool = DenseSet::full(doc.size());
                 pool.and_not_with(&self.labelled_bits[doc_ix]);
                 pool.and_not_with(&self.determined_bits[doc_ix]);
-                pool.and_not_with(&self.certain_bits[doc_ix]);
+                pool.and_not_with(&certain[doc_ix]);
             }
         }
 
         let mut rows = self.feature_rows();
         loop {
             let view = PoolView {
-                asked: self.asked,
+                asked: self.annotations.len(),
                 candidates: &rows.rows,
             };
             let pick_ix = self.strategy.pick(&view)?;
