@@ -14,26 +14,30 @@
 //! * **maximum total distance** — either unbounded or one of the candidate paths' distances;
 //! * **via city** — either unconstrained or "the path visits city C".
 //!
-//! The version space is maintained explicitly. To keep sessions cheap even when the endpoints
-//! admit thousands of candidate itineraries, the session precomputes one [`PathFeatures`] record
-//! per candidate (total distance, visited cities, the road types shared by every edge) and one
-//! acceptance bitset per hypothesis; pruning the version space then only touches the removed
-//! rows, and the "is this path still informative?" test is a counter comparison rather than a
-//! rescan of the whole hypothesis space. Proposal strategies include a workload prior that asks
-//! first about paths similar to queries learned for previous users.
+//! The version space is maintained explicitly. The session precomputes one [`PathFeatures`]
+//! record per candidate (total distance, visited cities, the road types shared by every edge),
+//! numbers the hypotheses `h = (t·|vias| + v)·(|distances| + 1) + k` (road type `t`, via `v`,
+//! distance bound `k`, each `0` when unconstrained), and gives each candidate one bitset of the
+//! hypotheses that accept it. The version space is a bitset of the hypotheses that agree with
+//! every label, so a label is one `AND` (or `AND NOT`) of it with the path's acceptors, and "is
+//! this path still informative?" is one popcount. Graph query sessions
+//! ([`crate::qsession::QuerySession`]) answer through the same engine. Proposal strategies
+//! include a workload prior that asks first about paths similar to queries learned for previous
+//! users.
 //!
 //! A session is driven by alternating [`PathSession::propose`] and [`PathSession::record`].
 //! [`interactive_path_learn`] runs that loop against a goal constraint for callers below
 //! `qbe-core`; above it, `qbe_core::drive` runs it over the `PathInteractive` adapter.
 
+use crate::geo::ROAD_TYPES;
 use crate::model::{GNodeId, PropertyGraph};
 use crate::rpq::{simple_paths, Path};
+use crate::space::VersionSpace;
 use qbe_bitset::DenseSet;
-use qbe_strategy::{
-    pick_first_max_by, Candidate, CheapestFirst, PoolView, Random, SessionConfig, Strategy,
-};
+use qbe_strategy::{pick_first_max_by, CheapestFirst, PoolView, Random, SessionConfig, Strategy};
 use std::borrow::Borrow;
 use std::collections::BTreeSet;
+use std::iter::once;
 
 /// A path-selection hypothesis: a conjunction of optional constraints.
 #[derive(Debug, Clone, PartialEq)]
@@ -231,28 +235,17 @@ pub struct PathSessionOutcome {
 /// via dimensions grow with the candidate set.
 pub const MAX_CANDIDATE_PATHS: usize = 400;
 
-/// One hypothesis together with its acceptance set over the candidate paths.
-///
-/// Rows of one `(road type, via)` *family* share their base acceptance bitset behind an `Arc`
-/// and differ only in the distance cutoff: candidates are distance-sorted, so a distance bound
-/// accepts a prefix. A session materialises one bitset per family instead of one per row
-/// (families × distance values of them), which is most of its construction cost.
-#[derive(Debug, Clone)]
-struct HypothesisRow {
-    constraint: PathConstraint,
-    /// Family-shared acceptance of (road type, via), ignoring the distance bound.
-    base: std::sync::Arc<DenseSet<usize>>,
-    /// The row accepts candidate `ix` iff `ix < cutoff` and `base` contains it (`cutoff` is the
-    /// candidate count for the unbounded row).
-    cutoff: usize,
-    /// Number of candidate paths the constraint accepts.
-    accepted_count: usize,
-}
-
-impl HypothesisRow {
-    fn accepts_path(&self, ix: usize) -> bool {
-        ix < self.cutoff && self.base.contains(ix)
+/// The hypothesis dimensions beyond road type: the via cities (unconstrained first, then every
+/// city some candidate visits, ascending) and the distance bounds (the candidates' distances,
+/// ascending, near-equal ones once).
+fn dimensions(features: &[PathFeatures]) -> (Vec<Option<GNodeId>>, Vec<f64>) {
+    let mut vias: BTreeSet<Option<GNodeId>> = BTreeSet::from([None]);
+    for f in features {
+        vias.extend(f.visited.iter().map(Some));
     }
+    let mut distances: Vec<f64> = features.iter().map(|f| f.distance).collect();
+    distances.dedup_by(|a, b| (*a - *b).abs() < 1e-9);
+    (vias.into_iter().collect(), distances)
 }
 
 /// Interactive session between two endpoints of a graph.
@@ -264,18 +257,14 @@ pub struct PathSession<G: Borrow<PropertyGraph>> {
     graph: G,
     candidates: Vec<Path>,
     features: Vec<PathFeatures>,
-    rows: Vec<HypothesisRow>,
-    /// For each candidate path, how many surviving hypotheses accept it.
-    accept_counts: Vec<usize>,
+    /// The via and distance dimensions of the hypothesis numbering (see the module docs).
+    vias: Vec<Option<GNodeId>>,
+    distances: Vec<f64>,
+    /// Per hypothesis, how many candidate paths it accepts.
+    accepted: Vec<usize>,
     labelled: Vec<(usize, bool)>,
-    /// Candidate paths neither labelled nor yet observed determined — the incremental pool
-    /// [`Self::propose`] offers the strategy, maintained by set difference (determination under
-    /// a shrinking version space is monotone, so removal is permanent).
-    pool: DenseSet<usize>,
-    /// The pluggable question-selection policy, consulted once per proposal round.
-    strategy: Box<dyn Strategy>,
-    /// Question cap, if any: once reached, the session completes.
-    budget: Option<usize>,
+    /// The version space, with one class per candidate path: the hypotheses that accept it.
+    space: VersionSpace,
     workload: Vec<PathConstraint>,
 }
 
@@ -310,11 +299,9 @@ impl<G: Borrow<PropertyGraph>> PathSession<G> {
         max_edges: usize,
         config: SessionConfig,
     ) -> PathSession<G> {
-        let resolved = config.resolve(|seed| PathStrategy::Halving.strategy(seed));
         let g = graph.borrow();
-        // Candidates are kept sorted by total distance: the distance dimension of the hypothesis
-        // space then accepts a *prefix* of the candidate list, which makes building the
-        // acceptance bitsets linear in the number of hypotheses rather than quadratic.
+        // Candidates are kept sorted by total distance, so the distance bounds covering a
+        // candidate are a suffix of the ascending bounds.
         let mut candidates = simple_paths(g, from, to, max_edges);
         candidates.sort_by(|a, b| {
             a.total_distance(g)
@@ -324,125 +311,68 @@ impl<G: Borrow<PropertyGraph>> PathSession<G> {
         candidates.truncate(MAX_CANDIDATE_PATHS);
         let features: Vec<PathFeatures> =
             candidates.iter().map(|p| PathFeatures::of(g, p)).collect();
-        let n = candidates.len();
+        let (vias, distances) = dimensions(&features);
+        let bounds = distances.len() + 1;
+        let hypotheses = (ROAD_TYPES.len() + 1) * vias.len() * bounds;
 
-        // Hypothesis dimensions.
-        let mut road_types: Vec<Option<String>> = vec![None];
-        road_types.extend(crate::geo::ROAD_TYPES.iter().map(|t| Some(t.to_string())));
-        let mut distance_values: Vec<f64> = features.iter().map(|f| f.distance).collect();
-        distance_values.dedup_by(|a, b| (*a - *b).abs() < 1e-9);
-        let mut vias: BTreeSet<Option<GNodeId>> = BTreeSet::from([None]);
-        for f in &features {
-            for node in f.visited.iter() {
-                vias.insert(Some(node));
-            }
-        }
-
-        // How many distance rows of one (road type, via) family accept candidate `ix`: one per
-        // distance value covering the candidate's own distance. Computing this once per
-        // candidate turns the accept-count accumulation from a per-row-per-bit sweep into a
-        // per-family pass over the base bitset plus this lookup.
-        let covering_distances: Vec<usize> = features
+        // A candidate's acceptors, by the tests of `PathConstraint::accepts_features`: in every
+        // (road type, via) family whose road type and via accept it, the unbounded hypothesis
+        // and those bounded at or above its distance.
+        let acceptors: Vec<DenseSet<usize>> = features
             .iter()
             .map(|f| {
-                distance_values.len() - distance_values.partition_point(|&d| d + 1e-9 < f.distance)
-            })
-            .collect();
-
-        // One acceptance mask per road-type hypothesis, decided by the same `uniform_types`
-        // test as `PathConstraint::accepts_features`; every via family of a road type reuses
-        // its mask.
-        let rt_masks: Vec<DenseSet<usize>> = road_types
-            .iter()
-            .map(|rt| match rt {
-                None => DenseSet::full(n),
-                Some(t) => {
-                    let mut mask: DenseSet<usize> = DenseSet::new(n);
-                    for (ix, f) in features.iter().enumerate() {
-                        if f.uniform_types.contains(t) {
-                            mask.insert(ix);
+                let mut set = DenseSet::new(hypotheses);
+                let covering = distances.partition_point(|&d| d + 1e-9 < f.distance) + 1;
+                for (t, road_type) in once(None).chain(ROAD_TYPES.map(Some)).enumerate() {
+                    if road_type.is_some_and(|rt| !f.uniform_types.contains(rt)) {
+                        continue;
+                    }
+                    for (v, via) in vias.iter().enumerate() {
+                        if via.is_some_and(|node| !f.visited.contains(node)) {
+                            continue;
+                        }
+                        let family = (t * vias.len() + v) * bounds;
+                        for k in once(0).chain(covering..bounds) {
+                            set.insert(family + k);
                         }
                     }
-                    mask
                 }
+                set
             })
             .collect();
-        let via_masks: Vec<DenseSet<usize>> = vias
-            .iter()
-            .map(|via| match via {
-                None => DenseSet::full(n),
-                Some(v) => {
-                    let mut mask: DenseSet<usize> = DenseSet::new(n);
-                    for (ix, f) in features.iter().enumerate() {
-                        if f.visited.contains(*v) {
-                            mask.insert(ix);
-                        }
-                    }
-                    mask
-                }
-            })
-            .collect();
-
-        let mut rows = Vec::new();
-        let mut accept_counts = vec![0usize; n];
-        for (rt, rt_mask) in road_types.iter().zip(&rt_masks) {
-            for (via, via_mask) in vias.iter().zip(&via_masks) {
-                // Base acceptance of (rt, via) ignoring the distance bound — shared by every
-                // row of the family behind one `Arc`.
-                let mut base = rt_mask.clone();
-                base.and_with(via_mask);
-                // Every row of this family accepts a subset of `base`: the unbounded row all of
-                // it, each distance row a prefix of it. Tally the family's contribution to the
-                // per-candidate acceptance counters in one pass over `base`, and keep the
-                // accepted positions around to size each prefix row by binary search.
-                let positions: Vec<usize> = base.iter().collect();
-                for &ix in &positions {
-                    accept_counts[ix] += 1 + covering_distances[ix];
-                }
-                let base = std::sync::Arc::new(base);
-                rows.push(HypothesisRow {
-                    constraint: PathConstraint {
-                        road_type: rt.clone(),
-                        max_distance: None,
-                        via: *via,
-                    },
-                    base: base.clone(),
-                    cutoff: n,
-                    accepted_count: positions.len(),
-                });
-                for &d in &distance_values {
-                    // Number of candidates whose distance is ≤ d (they form a prefix).
-                    let len = features.partition_point(|f| f.distance <= d + 1e-9);
-                    rows.push(HypothesisRow {
-                        constraint: PathConstraint {
-                            road_type: rt.clone(),
-                            max_distance: Some(d),
-                            via: *via,
-                        },
-                        base: base.clone(),
-                        cutoff: len,
-                        accepted_count: positions.partition_point(|&p| p < len),
-                    });
-                }
-            }
+        let mut accepted = vec![0; hypotheses];
+        for h in acceptors.iter().flat_map(DenseSet::iter) {
+            accepted[h] += 1;
         }
+        let class_of = (0..acceptors.len() as u32).collect();
         PathSession {
             graph,
             candidates,
             features,
-            rows,
-            accept_counts,
+            vias,
+            distances,
+            accepted,
             labelled: Vec::new(),
-            pool: DenseSet::full(n),
-            strategy: resolved.strategy,
-            budget: resolved.budget,
+            space: VersionSpace::new(hypotheses, class_of, acceptors, config),
             workload: Vec::new(),
+        }
+    }
+
+    /// Hypothesis `h` as a constraint (the numbering is in the module docs).
+    fn constraint(&self, h: usize) -> PathConstraint {
+        let bounds = self.distances.len() + 1;
+        let (family, k) = (h / bounds, h % bounds);
+        let (t, v) = (family / self.vias.len(), family % self.vias.len());
+        PathConstraint {
+            road_type: t.checked_sub(1).map(|t| ROAD_TYPES[t].to_string()),
+            max_distance: k.checked_sub(1).map(|k| self.distances[k]),
+            via: self.vias[v],
         }
     }
 
     /// The name of the session's question-selection strategy.
     pub fn strategy_name(&self) -> &str {
-        self.strategy.name()
+        self.space.strategy_name()
     }
 
     /// The graph the session ranges over.
@@ -465,25 +395,25 @@ impl<G: Borrow<PropertyGraph>> PathSession<G> {
         self.labelled.len()
     }
 
+    /// The id of the surviving hypothesis that accepts the fewest candidate paths (the first on
+    /// ties), or `None` when the version space is empty.
+    fn most_specific_id(&self) -> Option<usize> {
+        self.space.alive().iter().min_by_key(|&h| self.accepted[h])
+    }
+
     /// The most specific hypothesis still consistent with every label (the constraint
     /// accepting the fewest candidate paths; the unconstrained hypothesis when the version
     /// space is empty).
     pub fn most_specific(&self) -> PathConstraint {
-        self.rows
-            .iter()
-            .min_by_key(|row| row.accepted_count)
-            .map(|row| row.constraint.clone())
-            .unwrap_or_else(PathConstraint::any)
+        self.most_specific_id()
+            .map_or_else(PathConstraint::any, |h| self.constraint(h))
     }
 
     /// Number of candidate paths the most specific surviving hypothesis accepts — the answer
     /// set the learned query would return to the user right now.
     pub fn accepted_count(&self) -> usize {
-        self.rows
-            .iter()
-            .map(|row| row.accepted_count)
-            .min()
-            .unwrap_or(self.candidates.len())
+        self.most_specific_id()
+            .map_or(self.candidates.len(), |h| self.accepted[h])
     }
 
     /// Number of candidate paths.
@@ -493,19 +423,37 @@ impl<G: Borrow<PropertyGraph>> PathSession<G> {
 
     /// Number of hypotheses still consistent with every label.
     pub fn version_space_size(&self) -> usize {
-        self.rows.len()
+        self.space.alive().len()
     }
 
-    /// Paths whose label is not yet determined by the version space.
+    /// Paths whose label is not yet determined, recomputed from the recorded labels alone: the
+    /// unlabelled paths that some (road type, via, bound) constraint agreeing with every label
+    /// accepts and another rejects. It shares no state with the version space, so the
+    /// differential suites pin [`Self::informative_pool`] against it.
     pub fn informative_paths(&self) -> Vec<usize> {
-        let total = self.rows.len();
+        let (vias, distances) = dimensions(&self.features);
+        let road_types = once(None).chain(ROAD_TYPES.map(Some));
+        let bounds = once(None).chain(distances.into_iter().map(Some));
+        let consistent: Vec<PathConstraint> = road_types
+            .flat_map(|t| vias.iter().map(move |&via| (t, via)))
+            .flat_map(|(t, via)| {
+                bounds.clone().map(move |max_distance| PathConstraint {
+                    road_type: t.map(str::to_string),
+                    max_distance,
+                    via,
+                })
+            })
+            .filter(|c| {
+                self.labelled
+                    .iter()
+                    .all(|&(ix, label)| c.accepts_features(&self.features[ix]) == label)
+            })
+            .collect();
         (0..self.candidates.len())
+            .filter(|ix| self.labelled.iter().all(|(labelled, _)| labelled != ix))
             .filter(|&ix| {
-                if self.labelled.iter().any(|(l, _)| *l == ix) {
-                    return false;
-                }
-                let accepted = self.accept_counts[ix];
-                accepted != 0 && accepted != total
+                let accepts = |c: &PathConstraint| c.accepts_features(&self.features[ix]);
+                consistent.iter().any(accepts) && !consistent.iter().all(accepts)
             })
             .collect()
     }
@@ -513,105 +461,25 @@ impl<G: Borrow<PropertyGraph>> PathSession<G> {
     /// Record a user label and prune the version space.
     pub fn record(&mut self, path_ix: usize, positive: bool) {
         self.labelled.push((path_ix, positive));
-        self.pool.remove(path_ix);
-        let mut kept = Vec::with_capacity(self.rows.len());
-        // Dropped rows are aggregated per family (rows sharing one base behind an `Arc` are
-        // contiguous): a candidate loses one vote per dropped cutoff above it, so the votes of
-        // a whole family's dropped rows are forgotten in one two-pointer pass over its base
-        // instead of one bit walk per row.
-        let mut dropped: Vec<(std::sync::Arc<DenseSet<usize>>, Vec<usize>)> = Vec::new();
-        for row in self.rows.drain(..) {
-            if row.accepts_path(path_ix) == positive {
-                kept.push(row);
-            } else {
-                match dropped.last_mut() {
-                    Some((base, cutoffs)) if std::sync::Arc::ptr_eq(base, &row.base) => {
-                        cutoffs.push(row.cutoff)
-                    }
-                    _ => dropped.push((row.base.clone(), vec![row.cutoff])),
-                }
-            }
-        }
-        for (base, mut cutoffs) in dropped {
-            cutoffs.sort_unstable();
-            let mut below = 0usize;
-            for ix in base.iter() {
-                while below < cutoffs.len() && cutoffs[below] <= ix {
-                    below += 1;
-                }
-                if below == cutoffs.len() {
-                    break; // no dropped row reaches past this candidate
-                }
-                self.accept_counts[ix] -= cutoffs.len() - below;
-            }
-        }
-        self.rows = kept;
-    }
-
-    /// One [`Candidate`] feature row per informative path, aligned with `informative` (which
-    /// is in ascending-distance order — the model's paper order):
-    ///
-    /// * `informativeness` — the version-space-halving score (closer to half the surviving
-    ///   hypotheses is better), exactly the paper-era comparator;
-    /// * `cost` — total itinerary distance (short paths are cheap for the user to inspect);
-    /// * `coverage` — the smaller side of the version-space split: the number of hypotheses
-    ///   pruned whichever way the user answers;
-    /// * `prior` — how many workload constraints from previous users accept the path.
-    fn candidate_features(&self, informative: &[usize]) -> Vec<Candidate> {
-        let half = self.rows.len() / 2;
-        let total = self.rows.len();
-        informative
-            .iter()
-            .map(|&ix| {
-                let accepted = self.accept_counts[ix];
-                let prior = self
-                    .workload
-                    .iter()
-                    .filter(|h| h.accepts_features(&self.features[ix]))
-                    .count();
-                Candidate {
-                    informativeness: -(accepted.abs_diff(half) as f64),
-                    cost: self.features[ix].distance,
-                    coverage: accepted.min(total - accepted) as f64,
-                    specificity: 0.0,
-                    prior: prior as f64,
-                }
-            })
-            .collect()
+        self.space.record(path_ix, positive);
     }
 
     /// Propose the next informative path to show the user, or `None` when every candidate's
     /// label is determined by the version space (or the question budget is spent). Callers
-    /// alternate `propose` with [`Self::record`].
+    /// alternate `propose` with [`Self::record`]. The strategy sees one row per informative
+    /// path, in ascending-distance order (the model's paper order): the version-space halving
+    /// score and split as `informativeness` and `coverage`, the itinerary distance as `cost`
+    /// (short paths are cheap for the user to inspect), and as `prior` how many workload
+    /// constraints from previous users accept the path.
     pub fn propose(&mut self) -> Option<usize> {
-        if self.budget.is_some_and(|cap| self.labelled.len() >= cap) {
-            return None;
-        }
-        // Walk the incremental pool (ascending index — the spec's scan order) and drop the
-        // paths whose label the shrunk version space now determines. Determination is monotone
-        // (hypotheses only leave the version space), so removal is permanent and the pool is
-        // maintained purely by set difference.
-        let total = self.rows.len();
-        let mut informative: Vec<usize> = Vec::new();
-        let mut determined: Vec<usize> = Vec::new();
-        for ix in self.pool.iter() {
-            let accepted = self.accept_counts[ix];
-            if accepted == 0 || accepted == total {
-                determined.push(ix);
-            } else {
-                informative.push(ix);
-            }
-        }
-        for ix in determined {
-            self.pool.remove(ix);
-        }
-        let candidates = self.candidate_features(&informative);
-        let view = PoolView {
-            asked: self.labelled.len(),
-            candidates: &candidates,
-        };
-        let pick = self.strategy.pick(&view)?;
-        informative.get(pick).copied()
+        let (features, workload) = (&self.features, &self.workload);
+        self.space.propose(|ix| {
+            let prior = workload
+                .iter()
+                .filter(|h| h.accepts_features(&features[ix]))
+                .count();
+            (features[ix].distance, prior as f64)
+        })
     }
 
     /// The incremental candidate pool: what [`Self::propose`] currently offers the strategy,
@@ -620,7 +488,7 @@ impl<G: Borrow<PropertyGraph>> PathSession<G> {
     /// differential suites can pin the incremental pool against the from-scratch specification
     /// round by round.
     pub fn informative_pool(&self) -> Vec<usize> {
-        self.pool.iter().collect()
+        self.space.pool().iter().collect()
     }
 }
 
@@ -652,7 +520,12 @@ pub fn interactive_path_learn(
         .collect();
     let interactions = session.labelled.len();
     PathSessionOutcome {
-        version_space: session.rows.into_iter().map(|r| r.constraint).collect(),
+        version_space: session
+            .space
+            .alive()
+            .iter()
+            .map(|h| session.constraint(h))
+            .collect(),
         learned,
         interactions,
         inferred: session.candidates.len().saturating_sub(interactions),
@@ -839,23 +712,30 @@ mod tests {
 
     #[test]
     fn rows_match_per_candidate_evaluation_each_round() {
-        // The rows share family bases built from per-road-type masks and accept distance
-        // prefixes of them; pin them — round by round, as the version space shrinks — against
-        // direct per-candidate constraint evaluation (the executable spec).
+        // Pin every alive hypothesis's acceptor bits and accepted count — round by round, as
+        // the version space shrinks — against direct evaluation of its decoded constraint on
+        // every candidate (the executable spec).
         let (g, from, to) = setup();
         let mut session = PathSession::new(&g, from, to, 6, PathStrategy::Halving, 0);
         let goal = highway_goal();
         let mut rounds = 0;
         loop {
-            for row in &session.rows {
-                for ix in 0..session.candidates.len() {
+            for h in session.space.alive().iter() {
+                let constraint = session.constraint(h);
+                let mut accepted = 0;
+                for (ix, features) in session.features.iter().enumerate() {
+                    let accepts = constraint.accepts_features(features);
                     assert_eq!(
-                        row.accepts_path(ix),
-                        row.constraint.accepts_features(&session.features[ix]),
-                        "round {rounds}: row {:?} diverges on candidate {ix}",
-                        row.constraint
+                        session.space.acceptors(ix).contains(h),
+                        accepts,
+                        "round {rounds}: hypothesis {h} ({constraint:?}) diverges on candidate {ix}"
                     );
+                    accepted += usize::from(accepts);
                 }
+                assert_eq!(
+                    session.accepted[h], accepted,
+                    "round {rounds}: {constraint:?}"
+                );
             }
             let Some(ix) = session.propose() else { break };
             let label = goal.accepts(&g, &session.candidates[ix]);
@@ -863,6 +743,19 @@ mod tests {
             rounds += 1;
         }
         assert!(rounds > 0, "the session must ask at least one question");
+    }
+
+    #[test]
+    fn contradictory_labels_empty_the_version_space() {
+        let (g, from, to) = setup();
+        let mut session = PathSession::new(&g, from, to, 6, PathStrategy::Halving, 0);
+        let ix = session.propose().expect("informative path");
+        session.record(ix, true);
+        session.record(ix, false);
+        assert_eq!(session.version_space_size(), 0);
+        assert_eq!(session.most_specific(), PathConstraint::any());
+        assert_eq!(session.accepted_count(), session.candidate_count());
+        assert_eq!(session.propose(), None);
     }
 
     #[test]

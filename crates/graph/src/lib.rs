@@ -23,6 +23,10 @@
 //! * [`qsession`] — interactive learning of RPQ/2RPQ/CRPQ queries by pair-membership
 //!   questions, with cross-candidate common-subexpression elimination through one shared
 //!   evaluation cache.
+//!
+//! Both interactive learners answer through one private engine, an explicit version space: a
+//! bitset of the hypotheses consistent with every answer, and per question the bitset of the
+//! hypotheses that accept it.
 
 #![warn(missing_docs)]
 
@@ -36,6 +40,7 @@ pub mod nre;
 pub mod pattern;
 pub mod qsession;
 pub mod rpq;
+mod space;
 
 pub use geo::{generate_geo_graph, GeoConfig, ROAD_TYPES};
 pub use index::GraphIndex;

@@ -9,7 +9,8 @@
 //! disjunctions, `+`-repetitions; the conjunctive class adds two-atom intersections); each
 //! candidate denotes its *answer set* — the node pairs it selects. Questions are single pairs
 //! `(source, target)`: "should the query you have in mind select this pair?". Each answer
-//! bisects the version space exactly as path labels do in [`crate::interactive`].
+//! bisects the version space, through the same engine that answers path labels in
+//! [`crate::interactive`].
 //!
 //! Every candidate lowers to the hash-consed IR and evaluates through **one shared
 //! [`EvalCache`]**: structurally equal subqueries across the whole pool are evaluated once
@@ -21,14 +22,16 @@
 //! pair's question id is its position in that list. Questions accepted by the same hypotheses
 //! share a *class* (their acceptor set, the tidset of closed-pattern mining), kept as one bitset
 //! over hypotheses: an answer is one `AND` (or `AND NOT`) of the alive hypotheses with its class,
-//! and accept counts are one popcount per class. A hypothesis keeps its query and answer size.
+//! and accept counts are one popcount per class. The session builds the classes and hands them,
+//! with the pool, the strategy and the budget, to the crate's version-space engine, which path
+//! sessions answer through too. A hypothesis keeps its query and answer size.
 
 use crate::index::GraphIndex;
-use crate::interactive::PathStrategy;
 use crate::model::{GNodeId, PropertyGraph};
+use crate::space::VersionSpace;
 use qbe_algebra::{eval_conj, eval_expr, ConjQuery, EvalCache, ExprId, PathAtom, QueryStore, Term};
 use qbe_bitset::DenseSet;
-use qbe_strategy::{Candidate, PoolView, SessionConfig, Strategy};
+use qbe_strategy::SessionConfig;
 use std::borrow::Borrow;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -199,29 +202,20 @@ pub struct QuerySession<G: Borrow<PropertyGraph>> {
     /// The hypotheses: the semantically distinct candidates, with their answer-set sizes.
     queries: Vec<CandidateQuery>,
     answer_counts: Vec<usize>,
-    alive: DenseSet<usize>,
     /// The question universe: every pair some candidate selects, in ascending order. A
     /// question's id is its position here.
     questions: Vec<(GNodeId, GNodeId)>,
-    /// The class of each question.
-    class_of: Vec<u32>,
-    /// Per class, the hypotheses that select its questions: non-empty and pairwise distinct.
-    acceptors: Vec<DenseSet<usize>>,
-    /// Questions neither asked nor determined (maintained like `PathSession::pool`).
-    pool: DenseSet<usize>,
-    /// Answers recorded so far.
-    labelled: usize,
-    strategy: Box<dyn Strategy>,
-    budget: Option<usize>,
+    /// The version space over the hypotheses, with one class per distinct, non-empty set of
+    /// hypotheses that select a question.
+    space: VersionSpace,
     stats: CseStats,
 }
 
 impl<G: Borrow<PropertyGraph>> QuerySession<G> {
     /// Start a session over a typed graph (see [`crate::lower::typed_road_view`]) from a
     /// [`SessionConfig`] (strategy, question budget, seed). The default strategy is the path
-    /// model's [`PathStrategy::Halving`], here over pair questions.
+    /// model's [`crate::interactive::PathStrategy::Halving`], here over pair questions.
     pub fn with_config(graph: G, class: QueryClass, config: SessionConfig) -> QuerySession<G> {
-        let resolved = config.resolve(|seed| PathStrategy::Halving.strategy(seed));
         let g = graph.borrow();
         let index = GraphIndex::build(g);
         let mut store = QueryStore::new();
@@ -297,14 +291,8 @@ impl<G: Borrow<PropertyGraph>> QuerySession<G> {
             store,
             queries: kept.iter().map(|&ix| pool[ix].clone()).collect(),
             answer_counts: kept.iter().map(|&ix| answers[ix].len()).collect(),
-            alive: DenseSet::full(kept.len()),
-            pool: DenseSet::full(questions.len()),
             questions,
-            class_of,
-            acceptors,
-            labelled: 0,
-            strategy: resolved.strategy,
-            budget: resolved.budget,
+            space: VersionSpace::new(kept.len(), class_of, acceptors, config),
             stats,
         }
     }
@@ -316,7 +304,7 @@ impl<G: Borrow<PropertyGraph>> QuerySession<G> {
 
     /// The name of the session's question-selection strategy.
     pub fn strategy_name(&self) -> &str {
-        self.strategy.name()
+        self.space.strategy_name()
     }
 
     /// Shared-cache statistics of the candidate-pool evaluation.
@@ -331,7 +319,7 @@ impl<G: Borrow<PropertyGraph>> QuerySession<G> {
 
     /// Number of candidates still consistent with every label.
     pub fn version_space_size(&self) -> usize {
-        self.alive.len()
+        self.space.alive().len()
     }
 
     /// Number of question pairs in the universe.
@@ -346,14 +334,14 @@ impl<G: Borrow<PropertyGraph>> QuerySession<G> {
 
     /// Number of pairs the user has labelled so far.
     pub fn labelled_count(&self) -> usize {
-        self.labelled
+        self.space.labelled()
     }
 
     /// The most specific surviving candidate's id: smallest answer set, then smallest query,
     /// first on ties. `None` when the version space is empty (contradictory labels).
     fn most_specific(&self) -> Option<usize> {
         let specificity = |&h: &usize| (self.answer_counts[h], self.queries[h].size(&self.store));
-        self.alive.iter().min_by_key(specificity)
+        self.space.alive().iter().min_by_key(specificity)
     }
 
     /// The learned query rendered: the most specific candidate consistent with every label.
@@ -372,8 +360,7 @@ impl<G: Borrow<PropertyGraph>> QuerySession<G> {
     /// The learned query's answer set, rebuilt on request from the classes that it accepts.
     pub fn learned_pairs(&self) -> BTreeSet<(GNodeId, GNodeId)> {
         let h = self.most_specific();
-        let accepted =
-            |q: usize| h.is_some_and(|h| self.acceptors[self.class_of[q] as usize].contains(h));
+        let accepted = |q: usize| h.is_some_and(|h| self.space.acceptors(q).contains(h));
         (0..self.questions.len())
             .filter(|&q| accepted(q))
             .map(|q| self.questions[q])
@@ -382,54 +369,14 @@ impl<G: Borrow<PropertyGraph>> QuerySession<G> {
 
     /// Record a user label and prune the version space to the hypotheses that agree with it.
     pub fn record(&mut self, question_ix: usize, positive: bool) {
-        self.labelled += 1;
-        self.pool.remove(question_ix);
-        let acceptors = &self.acceptors[self.class_of[question_ix] as usize];
-        if positive {
-            self.alive.and_with(acceptors);
-        } else {
-            self.alive.and_not_with(acceptors);
-        }
+        self.space.record(question_ix, positive);
     }
 
     /// Propose the next informative pair to ask about, or `None` when every pair's label is
-    /// determined by the version space (or the budget is spent).
+    /// determined by the version space (or the budget is spent). A pair's cost is its
+    /// question id.
     pub fn propose(&mut self) -> Option<usize> {
-        if self.budget.is_some_and(|cap| self.labelled >= cap) {
-            return None;
-        }
-        let total = self.alive.len();
-        let accepted_by_class: Vec<usize> = self
-            .acceptors
-            .iter()
-            .map(|acceptors| acceptors.intersection_len(&self.alive))
-            .collect();
-        let accepted_by = |q: usize| accepted_by_class[self.class_of[q] as usize];
-        let (informative, determined): (Vec<usize>, Vec<usize>) = self
-            .pool
-            .iter()
-            .partition(|&q| (1..total).contains(&accepted_by(q)));
-        for q in determined {
-            self.pool.remove(q);
-        }
-        let candidates: Vec<Candidate> = informative
-            .iter()
-            .map(|&q| {
-                let accepted = accepted_by(q);
-                Candidate {
-                    informativeness: -(accepted.abs_diff(total / 2) as f64),
-                    cost: q as f64,
-                    coverage: accepted.min(total - accepted) as f64,
-                    specificity: 0.0,
-                    prior: 0.0,
-                }
-            })
-            .collect();
-        let pick = self.strategy.pick(&PoolView {
-            asked: self.labelled,
-            candidates: &candidates,
-        })?;
-        informative.get(pick).copied()
+        self.space.propose(|q| (q as f64, 0.0))
     }
 }
 
@@ -534,7 +481,7 @@ mod tests {
             let answers = fresh_answers(&typed, &session);
             for (h, answer) in answers.iter().enumerate() {
                 let from_classes: Pairs = (0..session.question_count())
-                    .filter(|&q| session.acceptors[session.class_of[q] as usize].contains(h))
+                    .filter(|&q| session.space.acceptors(q).contains(h))
                     .map(|q| session.questions[q])
                     .collect();
                 let query = session.queries[h].render(&session.store);
@@ -544,7 +491,7 @@ mod tests {
             // Every question is some candidate's answer, and its class holds its acceptors.
             for q in 0..session.question_count() {
                 let acceptors = fresh_acceptors(&session, &answers, q);
-                let class = &session.acceptors[session.class_of[q] as usize];
+                let class = session.space.acceptors(q);
                 assert!(!acceptors.is_empty(), "question {q}");
                 assert_eq!(class.iter().collect::<Vec<_>>(), acceptors, "question {q}");
             }
@@ -571,13 +518,14 @@ mod tests {
                     .map(|q| fresh_acceptors(&session, &answers, q))
                     .collect();
                 assert_eq!(
-                    session.acceptors.len(),
+                    session.space.classes().len(),
                     distinct.len(),
                     "{}",
                     class.wire_name()
                 );
                 let classes: BTreeSet<Vec<usize>> = session
-                    .acceptors
+                    .space
+                    .classes()
                     .iter()
                     .map(|a| a.iter().collect())
                     .collect();
@@ -586,7 +534,12 @@ mod tests {
                     "classes are non-empty and pairwise distinct"
                 );
                 if let Some(count) = pinned {
-                    assert_eq!(session.acceptors.len(), count, "{}", class.wire_name());
+                    assert_eq!(
+                        session.space.classes().len(),
+                        count,
+                        "{}",
+                        class.wire_name()
+                    );
                 }
             }
         }

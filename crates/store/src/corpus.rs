@@ -230,10 +230,17 @@ fn enc_prop(e: &mut Enc, value: &PropValue) {
     }
 }
 
+/// Decode a property value. Floats must be finite: path sessions sort itineraries by distance,
+/// and no encoded corpus holds a NaN or an infinity.
 fn dec_prop(d: &mut Dec<'_>) -> Result<PropValue, StoreError> {
     match d.u8()? {
         PROP_INT => Ok(PropValue::Int(d.i64()?)),
-        PROP_FLOAT => Ok(PropValue::Float(d.f64()?)),
+        PROP_FLOAT => match d.f64()? {
+            f if f.is_finite() => Ok(PropValue::Float(f)),
+            f => Err(StoreError::Corrupt(format!(
+                "non-finite float property value {f}"
+            ))),
+        },
         PROP_TEXT => Ok(PropValue::Text(d.str()?)),
         other => Err(StoreError::Corrupt(format!(
             "unknown property value tag {other}"
@@ -600,6 +607,23 @@ mod tests {
         let bytes = e.into_bytes();
         let mut d = Dec::new(&bytes);
         assert!(matches!(dec_relation(&mut d), Err(StoreError::Corrupt(_))));
+    }
+
+    #[test]
+    fn non_finite_edge_distances_are_corrupt() {
+        for distance in [f64::NAN, f64::INFINITY] {
+            let mut corpus = sample();
+            let edge = corpus
+                .graph
+                .edge_ids()
+                .next()
+                .expect("the sample has roads");
+            corpus.graph.set_edge_property(edge, "distance", distance);
+            match decode_bytes(corpus.encode()) {
+                Err(StoreError::Corrupt(msg)) => assert!(msg.contains("non-finite"), "{msg}"),
+                other => panic!("distance {distance} should be corrupt, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -138,7 +138,8 @@ proptest! {
     }
 
     /// Path sessions: the incremental pool equals the from-scratch
-    /// [`PathSession::informative_paths`] specification after every proposal.
+    /// [`PathSession::informative_paths`] specification, recomputed from the labels alone,
+    /// after every proposal.
     #[test]
     fn path_incremental_pool_equals_from_scratch(seed in 0u64..1_000_000) {
         let mut rng = StdRng::seed_from_u64(seed);
